@@ -17,8 +17,65 @@ use crate::thermal::ThermalModel;
 use crate::trace::{Trace, TraceSample};
 use crate::workload::{Workload, WorkloadRt};
 use mobicore_model::{ClusterPowerCache, CoreActivity, Khz, PowerBreakdown, Quota, Utilization};
-use mobicore_telemetry::{EventData, RunManifest, Telemetry};
+use mobicore_telemetry::{
+    CounterSlot, EventData, GaugeSlot, HistogramSlot, MetricSet, RunManifest, Telemetry,
+};
 use std::sync::Arc;
+
+/// Slots of the metrics the tick loop updates, resolved on first use —
+/// a run too short to reach a sample creates no sample metrics, exactly
+/// as name-keyed recording would. Updates by slot neither allocate nor
+/// look up a name (docs/simulator.md).
+#[derive(Debug, Default)]
+struct HotMetrics {
+    ticks: Option<CounterSlot>,
+    samples: Option<CounterSlot>,
+    commands: Option<CounterSlot>,
+    power_mw: Option<HistogramSlot>,
+    overall_util_pct: Option<HistogramSlot>,
+    quota_pct: Option<HistogramSlot>,
+    temp_c: Option<GaugeSlot>,
+}
+
+impl HotMetrics {
+    /// `n` ticks at constant `power_mw`, ending at `temp_c`.
+    fn ticks(&mut self, m: &mut MetricSet, n: u64, power_mw: f64, temp_c: f64) {
+        let ticks = *self
+            .ticks
+            .get_or_insert_with(|| m.counter_slot("sim.ticks"));
+        let power = *self
+            .power_mw
+            .get_or_insert_with(|| m.histogram_slot("power_mw"));
+        let temp = *self.temp_c.get_or_insert_with(|| m.gauge_slot("temp_c"));
+        m.inc_at(ticks, n);
+        m.record_repeat_at(power, power_mw, n);
+        m.set_gauge_at(temp, temp_c);
+    }
+
+    /// One policy sample's observation.
+    fn sample(&mut self, m: &mut MetricSet, overall_util_pct: f64, quota_pct: f64) {
+        let samples = *self
+            .samples
+            .get_or_insert_with(|| m.counter_slot("sim.samples"));
+        let util = *self
+            .overall_util_pct
+            .get_or_insert_with(|| m.histogram_slot("overall_util_pct"));
+        let quota = *self
+            .quota_pct
+            .get_or_insert_with(|| m.histogram_slot("quota_pct"));
+        m.inc_at(samples, 1);
+        m.record_at(util, overall_util_pct);
+        m.record_at(quota, quota_pct);
+    }
+
+    /// The commands one policy sample issued.
+    fn commands(&mut self, m: &mut MetricSet, n: u64) {
+        let commands = *self
+            .commands
+            .get_or_insert_with(|| m.counter_slot("sim.commands"));
+        m.inc_at(commands, n);
+    }
+}
 
 /// Buffers the tick loop reuses across iterations so the steady state
 /// performs no heap allocation (docs/performance.md; asserted by
@@ -197,6 +254,8 @@ pub struct Simulation {
     /// Sysfs writes that parsed to nonsense (kernel would return EINVAL).
     pub invalid_sysfs_writes: u64,
     telemetry: Telemetry,
+    /// Slots of the tick loop's metrics in `telemetry`.
+    hot: HotMetrics,
     /// Thermal OPP cap after the previous tick, for throttle/clear edges.
     last_thermal_cap: usize,
     /// Whether the bandwidth pool denied runtime in the previous tick,
@@ -360,6 +419,7 @@ impl Simulation {
             core_energy: 0.0,
             invalid_sysfs_writes: 0,
             telemetry,
+            hot: HotMetrics::default(),
             last_thermal_cap,
             bw_denied_last_tick: false,
             paths: path_table,
@@ -751,16 +811,12 @@ impl Simulation {
         if now >= self.next_sample_us {
             self.fill_snapshot();
             self.policy.on_sample(&self.snap, &mut self.ctl);
-            if self.telemetry.is_enabled() {
-                // Warm variants: the sampling block is on both engines'
-                // hot path, and must not allocate once warm.
-                self.telemetry.count_warm("sim.samples", 1);
-                self.telemetry.record_warm(
-                    "overall_util_pct",
+            if let Some(m) = self.telemetry.metrics_mut() {
+                self.hot.sample(
+                    m,
                     self.snap.overall_util.as_fraction() * 100.0,
+                    self.snap.quota.as_fraction() * 100.0,
                 );
-                self.telemetry
-                    .record_warm("quota_pct", self.snap.quota.as_fraction() * 100.0);
             }
             // Notes first: the decision record should precede the
             // freq/hotplug/quota events it causes at the same timestamp.
@@ -769,7 +825,9 @@ impl Simulation {
             }
             let mut cmds = std::mem::take(&mut self.scratch.cmds);
             self.ctl.drain_commands_into(&mut cmds);
-            self.telemetry.count_warm("sim.commands", cmds.len() as u64);
+            if let Some(m) = self.telemetry.metrics_mut() {
+                self.hot.commands(m, cmds.len() as u64);
+            }
             for cmd in cmds.drain(..) {
                 self.apply_command(cmd);
             }
@@ -856,10 +914,8 @@ impl Simulation {
         self.cluster_energy += breakdown.cluster_mw * tick as f64;
         self.core_energy += breakdown.core_mw.iter().sum::<f64>() * tick as f64;
         self.meter.record(now, tick, power);
-        if self.telemetry.is_enabled() {
-            self.telemetry.count("sim.ticks", 1);
-            self.telemetry.record("power_mw", power);
-            self.telemetry.gauge("temp_c", self.thermal.temp_c());
+        if let Some(m) = self.telemetry.metrics_mut() {
+            self.hot.ticks(m, 1, power, self.thermal.temp_c());
         }
         let cap = self.thermal.tick(now, tick, power);
         if cap != self.last_thermal_cap {
@@ -1276,13 +1332,8 @@ impl Simulation {
             }
         }
         self.bw_denied_last_tick = false;
-        if self.telemetry.is_enabled() {
-            // The warm variants skip the per-call key allocation once
-            // the metric exists — the burst loop must stay
-            // allocation-free when warm (docs/simulator.md).
-            self.telemetry.count_warm("sim.ticks", done);
-            self.telemetry.record_repeat_warm("power_mw", power, done);
-            self.telemetry.gauge_warm("temp_c", last_pre_tick_temp);
+        if let Some(m) = self.telemetry.metrics_mut() {
+            self.hot.ticks(m, done, power, last_pre_tick_temp);
         }
         self.sysfs_stale = true;
     }

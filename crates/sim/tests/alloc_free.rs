@@ -60,21 +60,23 @@ fn allocs() -> u64 {
     TL_ALLOCS.try_with(Cell::get).unwrap_or(0)
 }
 
-#[test]
-fn tick_loop_is_allocation_free_after_warmup() {
+/// Heap allocations across the second simulated second of a cyclic
+/// tick loop under load, after a first second of warmup.
+fn warm_tick_loop_allocs(telemetry: bool) -> u64 {
     let f_max = Khz(2_265_600);
     let profile = profiles::nexus5();
     let cfg = SimConfig::new(profile)
         .with_duration_secs(3)
         .with_seed(42)
         .without_mpdecision()
-        .with_telemetry(false);
+        .with_telemetry(telemetry);
     let mut sim =
         Simulation::new(cfg, Box::new(PinnedPolicy::new(4, f_max))).expect("valid config");
     sim.add_workload(Box::new(BusyLoop::with_target_util(4, 0.7, f_max, 42)));
 
     // Warmup: one simulated second grows every scratch buffer, meter
-    // reservation, and workload queue to steady-state capacity.
+    // reservation, and workload queue to steady state, and creates
+    // every metric the loop records.
     while sim.now_us() < 1_000_000 {
         sim.step();
     }
@@ -83,23 +85,19 @@ fn tick_loop_is_allocation_free_after_warmup() {
     while sim.now_us() < 2_000_000 {
         sim.step();
     }
-    let delta = allocs() - before;
-    assert_eq!(
-        delta, 0,
-        "expected zero heap allocations across 1 simulated second of \
-         warm tick loop, observed {delta}"
-    );
+    allocs() - before
 }
 
-#[test]
-fn event_engine_quiet_loop_is_allocation_free_after_warmup() {
+/// Heap allocations across the second simulated second of an idle
+/// event-engine run, after a first second of warmup.
+fn warm_quiet_burst_allocs(telemetry: bool) -> u64 {
     let f_max = Khz(2_265_600);
     let profile = profiles::nexus5();
     let cfg = SimConfig::new(profile)
         .with_duration_secs(3)
         .with_seed(42)
         .without_mpdecision()
-        .with_telemetry(false)
+        .with_telemetry(telemetry)
         .with_engine(SimEngine::EventDriven);
     let mut sim =
         Simulation::new(cfg, Box::new(PinnedPolicy::new(4, f_max))).expect("valid config");
@@ -113,20 +111,13 @@ fn event_engine_quiet_loop_is_allocation_free_after_warmup() {
 
     let before = allocs();
     sim.run_until(2_000_000);
-    let delta = allocs() - before;
-    assert_eq!(
-        delta, 0,
-        "expected zero heap allocations across 1 simulated second of \
-         warm quiet bursts, observed {delta}"
-    );
+    allocs() - before
 }
 
-#[test]
-fn fleet_multiplexed_loop_is_allocation_free_after_warmup() {
-    // Eight mostly-idle devices multiplexed through one FleetSim loop:
-    // once every device's scratch state and the fleet heap are warm,
-    // advancing the whole fleet a further simulated second must not
-    // allocate (the multiplexed warm-burst claim of docs/simulator.md).
+/// Heap allocations across the second simulated second of eight
+/// mostly-idle devices multiplexed through one `FleetSim` loop, after
+/// a first second of warmup.
+fn warm_fleet_allocs(telemetry: bool) -> u64 {
     let profile = Arc::new(profiles::nexus5());
     let mut fleet = FleetSim::with_capacity(8);
     for seed in 0..8 {
@@ -134,7 +125,7 @@ fn fleet_multiplexed_loop_is_allocation_free_after_warmup() {
             .with_duration_secs(3)
             .with_seed(seed)
             .without_mpdecision()
-            .with_telemetry(false)
+            .with_telemetry(telemetry)
             .with_engine(SimEngine::EventDriven);
         let sim = Simulation::new(cfg, Box::new(PinnedPolicy::new(4, Khz(2_265_600))))
             .expect("valid config");
@@ -151,11 +142,71 @@ fn fleet_multiplexed_loop_is_allocation_free_after_warmup() {
     while fleet.devices().iter().any(|d| d.now_us() < 2_000_000) {
         fleet.advance_next();
     }
-    let delta = allocs() - before;
+    allocs() - before
+}
+
+#[test]
+fn tick_loop_is_allocation_free_after_warmup() {
+    let delta = warm_tick_loop_allocs(false);
+    assert_eq!(
+        delta, 0,
+        "expected zero heap allocations across 1 simulated second of \
+         warm tick loop, observed {delta}"
+    );
+}
+
+#[test]
+fn tick_loop_with_telemetry_is_allocation_free_after_warmup() {
+    // Every tick records `sim.ticks`, `power_mw` and `temp_c`, and every
+    // sample three more metrics: by slot, none of them allocates.
+    let delta = warm_tick_loop_allocs(true);
+    assert_eq!(
+        delta, 0,
+        "expected zero heap allocations across 1 simulated second of \
+         warm tick loop with telemetry on, observed {delta}"
+    );
+}
+
+#[test]
+fn event_engine_quiet_loop_is_allocation_free_after_warmup() {
+    let delta = warm_quiet_burst_allocs(false);
+    assert_eq!(
+        delta, 0,
+        "expected zero heap allocations across 1 simulated second of \
+         warm quiet bursts, observed {delta}"
+    );
+}
+
+#[test]
+fn event_engine_quiet_loop_with_telemetry_is_allocation_free_after_warmup() {
+    let delta = warm_quiet_burst_allocs(true);
+    assert_eq!(
+        delta, 0,
+        "expected zero heap allocations across 1 simulated second of \
+         warm quiet bursts with telemetry on, observed {delta}"
+    );
+}
+
+#[test]
+fn fleet_multiplexed_loop_is_allocation_free_after_warmup() {
+    // Once every device's scratch state and the fleet heap are warm,
+    // advancing the whole fleet a further simulated second must not
+    // allocate (the multiplexed warm-burst claim of docs/simulator.md).
+    let delta = warm_fleet_allocs(false);
     assert_eq!(
         delta, 0,
         "expected zero heap allocations across 1 simulated second of \
          warm multiplexed fleet loop, observed {delta}"
+    );
+}
+
+#[test]
+fn fleet_multiplexed_loop_with_telemetry_is_allocation_free_after_warmup() {
+    let delta = warm_fleet_allocs(true);
+    assert_eq!(
+        delta, 0,
+        "expected zero heap allocations across 1 simulated second of \
+         warm multiplexed fleet loop with telemetry on, observed {delta}"
     );
 }
 

@@ -56,5 +56,5 @@ pub use leaderboard::{
     TOURNAMENT_SCHEMA_VERSION,
 };
 pub use manifest::{git_describe, DiffRow, ManifestDiff, RunManifest, SCHEMA_VERSION};
-pub use metrics::{Histogram, MetricSet};
+pub use metrics::{CounterSlot, GaugeSlot, Histogram, HistogramSlot, MetricSet};
 pub use sink::{events_from_jsonl, events_to_jsonl, Telemetry, DEFAULT_MAX_EVENTS};

@@ -10,8 +10,19 @@ use std::collections::BTreeMap;
 
 /// Linear sub-buckets per power-of-two octave.
 const SUB_BUCKETS: usize = 4;
+/// `log2(SUB_BUCKETS)`: the mantissa bits that pick a sub-bucket.
+const SUB_BUCKET_BITS: u32 = 2;
 /// Octaves covered (values up to 2^62 land in a real bucket).
 const OCTAVES: usize = 62;
+const _: () = assert!(SUB_BUCKETS == 1 << SUB_BUCKET_BITS);
+/// Stored mantissa bits of an f64.
+const MANTISSA_BITS: u32 = 52;
+/// Exponent bias of an f64.
+const EXPONENT_BIAS: usize = 1023;
+/// How close (in ulps) to an octave edge [`Histogram::bucket_of`]
+/// defers to `log2`, which rounds up within a few dozen ulps below an
+/// edge.
+const EDGE_ULPS: u64 = 4096;
 
 /// A log-linear histogram of non-negative values.
 ///
@@ -45,11 +56,38 @@ impl Histogram {
         }
     }
 
+    /// The bucket of `v`: the octave from the f64 exponent, the
+    /// sub-bucket from the top mantissa bits. Returns what
+    /// [`Histogram::bucket_of_log2`] does for every f64 (pinned by the
+    /// tests below).
     fn bucket_of(v: f64) -> usize {
         // NaN lands in bucket 0 via the is_finite check.
         if v < 1.0 || !v.is_finite() {
             return 0;
         }
+        // v is finite and >= 1, so it is normal: the biased exponent is
+        // the octave and the top mantissa bits are the sub-bucket.
+        let bits = v.to_bits();
+        #[allow(clippy::cast_possible_truncation)]
+        let e = ((bits >> MANTISSA_BITS) as usize) - EXPONENT_BIAS;
+        if e >= OCTAVES {
+            return OCTAVES * SUB_BUCKETS;
+        }
+        let mantissa = bits & ((1 << MANTISSA_BITS) - 1);
+        if !(EDGE_ULPS..(1 << MANTISSA_BITS) - EDGE_ULPS).contains(&mantissa) {
+            return Self::bucket_of_log2(v);
+        }
+        #[allow(clippy::cast_possible_truncation)]
+        let sub = (mantissa >> (MANTISSA_BITS - SUB_BUCKET_BITS)) as usize;
+        1 + e * SUB_BUCKETS + sub
+    }
+
+    /// The defining formula behind [`Histogram::bucket_of`]. Near an
+    /// octave edge `log2` rounds a value just below `2^e` up to `e`,
+    /// which puts it in sub-bucket 0 of the octave above; recorded
+    /// histograms depend on that, so the fast path defers to this
+    /// formula there.
+    fn bucket_of_log2(v: f64) -> usize {
         // Octave = floor(log2 v); sub-bucket = position inside [2^e, 2^{e+1}).
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let e = (v.log2().floor() as usize).min(OCTAVES - 1);
@@ -215,15 +253,95 @@ impl Histogram {
     }
 }
 
+/// One kind of metric: values in a `Vec`, found by slot, plus a
+/// name-sorted index into it.
+///
+/// Slots are handed out in creation order, so two sets holding the same
+/// metrics may number them differently; every comparison, iteration and
+/// serialization goes through the name index instead, which keeps them
+/// independent of the order the metrics were created in.
+#[derive(Clone)]
+struct Registry<T> {
+    index: BTreeMap<String, usize>,
+    values: Vec<T>,
+}
+
+impl<T> Default for Registry<T> {
+    fn default() -> Self {
+        Registry {
+            index: BTreeMap::new(),
+            values: Vec::new(),
+        }
+    }
+}
+
+impl<T> Registry<T> {
+    /// The slot of `name`, created with `init()` on first use. Allocates
+    /// only when it creates.
+    fn slot(&mut self, name: &str, init: impl FnOnce() -> T) -> usize {
+        if let Some(&slot) = self.index.get(name) {
+            return slot;
+        }
+        let slot = self.values.len();
+        self.values.push(init());
+        self.index.insert(name.to_string(), slot);
+        slot
+    }
+
+    fn get(&self, name: &str) -> Option<&T> {
+        self.index.get(name).map(|&slot| &self.values[slot])
+    }
+
+    /// Every `(name, value)`, name-sorted.
+    fn iter(&self) -> impl Iterator<Item = (&str, &T)> + '_ {
+        self.index
+            .iter()
+            .map(|(name, &slot)| (name.as_str(), &self.values[slot]))
+    }
+}
+
+impl<T: PartialEq> PartialEq for Registry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for Registry<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+/// A counter's place in the [`MetricSet`] that issued it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterSlot(usize);
+
+/// A gauge's place in the [`MetricSet`] that issued it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GaugeSlot(usize);
+
+/// A histogram's place in the [`MetricSet`] that issued it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistogramSlot(usize);
+
 /// A named registry of counters, gauges and histograms.
 ///
-/// Names are sorted (`BTreeMap`) so every serialization of the same
-/// registry is byte-identical.
+/// A name resolves once to a `Copy` slot ([`MetricSet::counter_slot`]
+/// and friends); updates by slot (`*_at`) are an index into a `Vec`,
+/// with no string lookup and no allocation — how the simulator records
+/// its per-tick metrics (docs/simulator.md). The name-keyed updates
+/// resolve and then update, so they allocate only when they create a
+/// metric.
+///
+/// A slot is valid only for the set that issued it (and its clones).
+/// Every iteration, comparison, merge and rollup is name-sorted, so the
+/// order in which metrics were created never shows and every
+/// serialization of the same registry is byte-identical.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricSet {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: Registry<u64>,
+    gauges: Registry<f64>,
+    histograms: Registry<Histogram>,
 }
 
 impl MetricSet {
@@ -232,74 +350,69 @@ impl MetricSet {
         Self::default()
     }
 
-    /// Adds `by` to counter `name` (creating it at zero).
-    pub fn inc(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += by;
+    /// The slot of counter `name`, creating it at zero.
+    pub fn counter_slot(&mut self, name: &str) -> CounterSlot {
+        CounterSlot(self.counters.slot(name, || 0))
     }
 
-    /// Adds `by` to counter `name` without allocating when the counter
-    /// already exists. The `entry` API needs an owned key up front, so
-    /// [`MetricSet::inc`] pays a `String` per call; hot paths that hit
-    /// the same few names millions of times (the simulator's quiet-burst
-    /// loop, docs/simulator.md) use this get-first variant instead.
-    pub fn inc_warm(&mut self, name: &str, by: u64) {
-        if let Some(c) = self.counters.get_mut(name) {
-            *c += by;
-        } else {
-            self.inc(name, by);
-        }
+    /// The slot of gauge `name`, creating it at zero.
+    pub fn gauge_slot(&mut self, name: &str) -> GaugeSlot {
+        GaugeSlot(self.gauges.slot(name, || 0.0))
+    }
+
+    /// The slot of histogram `name`, creating it empty.
+    pub fn histogram_slot(&mut self, name: &str) -> HistogramSlot {
+        HistogramSlot(self.histograms.slot(name, Histogram::new))
+    }
+
+    /// Adds `by` to the counter at `slot`.
+    #[inline]
+    pub fn inc_at(&mut self, slot: CounterSlot, by: u64) {
+        self.counters.values[slot.0] += by;
+    }
+
+    /// Sets the gauge at `slot` to `value`.
+    #[inline]
+    pub fn set_gauge_at(&mut self, slot: GaugeSlot, value: f64) {
+        self.gauges.values[slot.0] = value;
+    }
+
+    /// Records `value` into the histogram at `slot`.
+    #[inline]
+    pub fn record_at(&mut self, slot: HistogramSlot, value: f64) {
+        self.histograms.values[slot.0].record(value);
+    }
+
+    /// Records `value` into the histogram at `slot` `n` times (see
+    /// [`Histogram::record_repeat`]).
+    #[inline]
+    pub fn record_repeat_at(&mut self, slot: HistogramSlot, value: f64, n: u64) {
+        self.histograms.values[slot.0].record_repeat(value, n);
+    }
+
+    /// Adds `by` to counter `name` (creating it at zero).
+    pub fn inc(&mut self, name: &str, by: u64) {
+        let slot = self.counter_slot(name);
+        self.inc_at(slot, by);
     }
 
     /// Sets gauge `name` to `value`.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
-    }
-
-    /// Sets gauge `name` without allocating when it already exists (see
-    /// [`MetricSet::inc_warm`]).
-    pub fn set_gauge_warm(&mut self, name: &str, value: f64) {
-        if let Some(g) = self.gauges.get_mut(name) {
-            *g = value;
-        } else {
-            self.set_gauge(name, value);
-        }
+        let slot = self.gauge_slot(name);
+        self.set_gauge_at(slot, value);
     }
 
     /// Records `value` into histogram `name` (creating it empty).
     pub fn record(&mut self, name: &str, value: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        let slot = self.histogram_slot(name);
+        self.record_at(slot, value);
     }
 
     /// Records `value` into histogram `name` `n` times (see
     /// [`Histogram::record_repeat`]).
     pub fn record_repeat(&mut self, name: &str, value: f64, n: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record_repeat(value, n);
-    }
-
-    /// Records into histogram `name` without allocating when the
-    /// histogram already exists (see [`MetricSet::inc_warm`]).
-    pub fn record_warm(&mut self, name: &str, value: f64) {
-        if let Some(h) = self.histograms.get_mut(name) {
-            h.record(value);
-        } else {
-            self.record(name, value);
-        }
-    }
-
-    /// Records into histogram `name` `n` times without allocating when
-    /// the histogram already exists (see [`MetricSet::inc_warm`]).
-    pub fn record_repeat_warm(&mut self, name: &str, value: f64, n: u64) {
-        if let Some(h) = self.histograms.get_mut(name) {
-            h.record_repeat(value, n);
-        } else {
-            self.record_repeat(name, value, n);
-        }
+        let slot = self.histogram_slot(name);
+        self.record_repeat_at(slot, value, n);
     }
 
     /// Counter value, if the counter exists.
@@ -318,13 +431,13 @@ impl MetricSet {
     }
 
     /// All counters, name-sorted.
-    pub fn counters(&self) -> &BTreeMap<String, u64> {
-        &self.counters
+    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
+        self.counters.iter().map(|(name, &v)| (name, v))
     }
 
     /// All gauges, name-sorted.
-    pub fn gauges(&self) -> &BTreeMap<String, f64> {
-        &self.gauges
+    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> + '_ {
+        self.gauges.iter().map(|(name, &v)| (name, v))
     }
 
     /// Folds `other` into this registry: counters add, histograms merge
@@ -338,14 +451,15 @@ impl MetricSet {
     /// (the per-device manifests stay byte-identical to independent
     /// runs).
     pub fn merge(&mut self, other: &MetricSet) {
-        for (k, &v) in &other.counters {
+        for (k, v) in other.counters() {
             self.inc(k, v);
         }
-        for (k, &v) in &other.gauges {
+        for (k, v) in other.gauges() {
             self.set_gauge(k, v);
         }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
+        for (k, h) in other.histograms.iter() {
+            let slot = self.histogram_slot(k);
+            self.histograms.values[slot.0].merge(h);
         }
     }
 
@@ -354,14 +468,14 @@ impl MetricSet {
     /// `name.p50`, `name.p99` and `name.max`.
     pub fn rollups(&self) -> BTreeMap<String, f64> {
         let mut out = BTreeMap::new();
-        for (k, &v) in &self.counters {
+        for (k, v) in self.counters() {
             #[allow(clippy::cast_precision_loss)]
-            out.insert(k.clone(), v as f64);
+            out.insert(k.to_string(), v as f64);
         }
-        for (k, &v) in &self.gauges {
-            out.insert(k.clone(), v);
+        for (k, v) in self.gauges() {
+            out.insert(k.to_string(), v);
         }
-        for (k, h) in &self.histograms {
+        for (k, h) in self.histograms.iter() {
             #[allow(clippy::cast_precision_loss)]
             out.insert(format!("{k}.count"), h.count() as f64);
             out.insert(format!("{k}.mean"), h.mean());
@@ -590,31 +704,169 @@ mod tests {
         assert!(roll.contains_key("power_mw.p50") && roll.contains_key("power_mw.p99"));
     }
 
-    #[test]
-    fn warm_variants_match_cold_ones() {
-        let mut cold = MetricSet::new();
-        let mut warm = MetricSet::new();
-        for m in [&mut cold, &mut warm] {
-            m.inc("sim.ticks", 1);
-            m.set_gauge("temp_c", 30.0);
-            m.record_repeat("power_mw", 41.5, 3);
+    /// The bucketing formula of the original implementation, kept
+    /// verbatim as the reference [`Histogram::bucket_of`] must match
+    /// for every f64.
+    fn oracle_bucket_of(v: f64) -> usize {
+        if v < 1.0 || !v.is_finite() {
+            return 0;
         }
-        // Warm calls on existing names, plus one on a fresh name each
-        // (the fall-back creation path).
-        cold.inc("sim.ticks", 7);
-        warm.inc_warm("sim.ticks", 7);
-        cold.set_gauge("temp_c", 32.5);
-        warm.set_gauge_warm("temp_c", 32.5);
-        cold.record_repeat("power_mw", 41.5, 19);
-        warm.record_repeat_warm("power_mw", 41.5, 19);
-        cold.record("power_mw", 7.25);
-        warm.record_warm("power_mw", 7.25);
-        cold.inc("sim.samples", 2);
-        warm.inc_warm("sim.samples", 2);
-        cold.set_gauge("quota", 1.0);
-        warm.set_gauge_warm("quota", 1.0);
-        cold.record_repeat("util", 9.0, 2);
-        warm.record_repeat_warm("util", 9.0, 2);
-        assert_eq!(cold, warm);
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let e = (v.log2().floor() as usize).min(OCTAVES - 1);
+        let lo = (2.0f64).powi(i32::try_from(e).unwrap_or(i32::MAX));
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let sub = (((v / lo) - 1.0) * SUB_BUCKETS as f64).floor() as usize;
+        1 + e * SUB_BUCKETS + sub.min(SUB_BUCKETS - 1)
+    }
+
+    fn assert_bucket_matches_oracle(v: f64) {
+        assert_eq!(
+            Histogram::bucket_of(v),
+            oracle_bucket_of(v),
+            "bucket_of({v:e}) (bits {:#018x})",
+            v.to_bits()
+        );
+    }
+
+    #[test]
+    fn fast_bucket_of_matches_log2_formula_at_every_edge() {
+        // Every f64 within ±4096 ulps of each octave edge 2^e and each
+        // quarter sub-bucket edge 2^e·(1 + k/4), for octaves 0–63: the
+        // region where log2 rounding decides the bucket.
+        const ULPS: i64 = 4096;
+        for e in 0..64 {
+            for k in 0..4u32 {
+                let edge = 2f64.powi(e) * (1.0 + f64::from(k) / 4.0);
+                let bits = i64::try_from(edge.to_bits()).expect("positive f64 bits fit i64");
+                for d in -ULPS..=ULPS {
+                    #[allow(clippy::cast_sign_loss)]
+                    assert_bucket_matches_oracle(f64::from_bits((bits + d) as u64));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fast_bucket_of_matches_log2_formula_off_the_edges() {
+        // The clamped top octave and beyond, values below 1, negatives
+        // and non-finite values.
+        let specials = [
+            2f64.powi(62),
+            2f64.powi(62) * 1.3,
+            2f64.powi(63),
+            2f64.powi(64),
+            1e300,
+            f64::MAX,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            0.5,
+            0.999_999_999,
+            1.0 - f64::EPSILON / 2.0,
+            -1.0,
+            -1e300,
+            f64::MIN,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for v in specials {
+            assert_bucket_matches_oracle(v);
+        }
+        // A seeded stream of random finite values: raw bit patterns
+        // (every exponent, both signs) and values spread log-uniformly
+        // over the covered range.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            // xorshift64*
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        for _ in 0..200_000 {
+            let raw = f64::from_bits(next());
+            if raw.is_finite() {
+                assert_bucket_matches_oracle(raw);
+            }
+            #[allow(clippy::cast_precision_loss)]
+            let unit = (next() >> 11) as f64 / (1u64 << 53) as f64;
+            assert_bucket_matches_oracle(2f64.powf(unit * 64.0));
+        }
+    }
+
+    /// The metric updates of a short simulated run, applied to `m`
+    /// either by name or by slot.
+    fn apply_updates(m: &mut MetricSet, by_slot: bool) {
+        for tick in 0..50u32 {
+            let power = 400.0 + f64::from(tick % 7) * 13.25;
+            let temp = 30.0 + f64::from(tick) / 16.0;
+            if by_slot {
+                let ticks = m.counter_slot("sim.ticks");
+                let power_mw = m.histogram_slot("power_mw");
+                let temp_c = m.gauge_slot("temp_c");
+                m.inc_at(ticks, 1);
+                m.record_at(power_mw, power);
+                m.set_gauge_at(temp_c, temp);
+            } else {
+                m.inc("sim.ticks", 1);
+                m.record("power_mw", power);
+                m.set_gauge("temp_c", temp);
+            }
+            if tick % 5 == 0 {
+                if by_slot {
+                    let samples = m.counter_slot("sim.samples");
+                    let util = m.histogram_slot("overall_util_pct");
+                    m.inc_at(samples, 1);
+                    m.record_repeat_at(util, f64::from(tick), 3);
+                } else {
+                    m.inc("sim.samples", 1);
+                    m.record_repeat("overall_util_pct", f64::from(tick), 3);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn metric_set_is_independent_of_creation_order_and_access_path() {
+        // `a` creates its metrics in update order, by name; `b` creates
+        // them in name order first — the reverse of `a`'s — then updates
+        // by slot. Slots differ between the two; nothing observable may.
+        let mut a = MetricSet::new();
+        apply_updates(&mut a, false);
+        let mut b = MetricSet::new();
+        b.histogram_slot("overall_util_pct");
+        b.histogram_slot("power_mw");
+        b.counter_slot("sim.samples");
+        b.counter_slot("sim.ticks");
+        b.gauge_slot("temp_c");
+        apply_updates(&mut b, true);
+        assert_eq!(a, b);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(a.rollups(), b.rollups());
+        assert_eq!(
+            a.counters().collect::<Vec<_>>(),
+            vec![("sim.samples", 10), ("sim.ticks", 50)]
+        );
+
+        // Merging either into sets that already hold other metrics, in
+        // either creation order, gives equal results.
+        let mut into_a = MetricSet::new();
+        into_a.inc("fleet.devices", 1);
+        into_a.record("power_mw", 1.0);
+        let mut into_b = MetricSet::new();
+        into_b.record("power_mw", 1.0);
+        into_b.inc("fleet.devices", 1);
+        into_a.merge(&a);
+        into_b.merge(&b);
+        assert_eq!(into_a, into_b);
+        assert_eq!(into_a.rollups(), into_b.rollups());
+        assert_eq!(into_a.histogram("power_mw").unwrap().count(), 51);
+
+        // Same names, different values: not equal.
+        b.inc("sim.ticks", 1);
+        assert_ne!(a, b);
     }
 }

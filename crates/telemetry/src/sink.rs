@@ -105,42 +105,6 @@ impl Telemetry {
         }
     }
 
-    /// Adds `by` to counter `name` without allocating when the counter
-    /// already exists — the warm-path variant for per-burst call sites
-    /// (see [`MetricSet::inc_warm`]).
-    #[inline]
-    pub fn count_warm(&mut self, name: &str, by: u64) {
-        if self.enabled {
-            self.metrics.inc_warm(name, by);
-        }
-    }
-
-    /// Sets gauge `name` without allocating when it already exists.
-    #[inline]
-    pub fn gauge_warm(&mut self, name: &str, value: f64) {
-        if self.enabled {
-            self.metrics.set_gauge_warm(name, value);
-        }
-    }
-
-    /// Records `value` without allocating when histogram `name` already
-    /// exists.
-    #[inline]
-    pub fn record_warm(&mut self, name: &str, value: f64) {
-        if self.enabled {
-            self.metrics.record_warm(name, value);
-        }
-    }
-
-    /// Records `value` `n` times without allocating when histogram
-    /// `name` already exists.
-    #[inline]
-    pub fn record_repeat_warm(&mut self, name: &str, value: f64, n: u64) {
-        if self.enabled {
-            self.metrics.record_repeat_warm(name, value, n);
-        }
-    }
-
     /// The recorded events, in emission order.
     pub fn events(&self) -> &[Event] {
         &self.events
@@ -156,11 +120,24 @@ impl Telemetry {
         &self.metrics
     }
 
+    /// The metric registry for slot-resolved updates
+    /// ([`MetricSet::counter_slot`] and friends), or `None` when the sink
+    /// is disabled.
+    #[inline]
+    pub fn metrics_mut(&mut self) -> Option<&mut MetricSet> {
+        self.enabled.then_some(&mut self.metrics)
+    }
+
     /// Event totals per kind name (only kinds that occurred appear).
     pub fn event_counts(&self) -> BTreeMap<String, u64> {
         let mut out = BTreeMap::new();
         for e in &self.events {
-            *out.entry(e.kind().name().to_string()).or_insert(0) += 1;
+            let name = e.kind().name();
+            if let Some(n) = out.get_mut(name) {
+                *n += 1;
+            } else {
+                out.insert(name.to_string(), 1);
+            }
         }
         out
     }

@@ -100,7 +100,7 @@ fn disabled_telemetry_records_nothing_and_changes_nothing() {
     let r_on = on.run();
     let r_off = off.run();
     assert!(off.telemetry().events().is_empty());
-    assert!(off.telemetry().metrics().counters().is_empty());
+    assert!(off.telemetry().metrics().counters().next().is_none());
     assert!(off.events_jsonl().is_empty());
     // Telemetry must be observation only: identical physics either way.
     assert_eq!(r_on.energy_mj, r_off.energy_mj);
