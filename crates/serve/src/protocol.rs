@@ -8,7 +8,9 @@
 //! length followed by UTF-8; `f64`s travel as their IEEE-754 bit
 //! pattern, so a value decodes to *exactly* the bits the peer encoded —
 //! the property that makes remote decisions byte-identical to
-//! in-process ones (see docs/serving.md).
+//! in-process ones (see docs/serving.md). Decision notes follow the
+//! same rules: a tag byte per [`EventKind`], then the variant's fields
+//! in declaration order.
 //!
 //! Decoding never panics: truncated input reports "need more bytes"
 //! (`Ok(None)`), and every malformed input yields a typed
@@ -17,12 +19,13 @@
 
 use mobicore_model::{Khz, Quota, Utilization};
 use mobicore_sim::{Command, CoreSnapshot, PolicySnapshot};
-use mobicore_telemetry::{Event, EventData};
+use mobicore_telemetry::{EventData, EventKind};
 
 /// Protocol version carried in Hello/HelloAck; bumped on any wire
 /// change. Version 2 added the HelloAck pipelining window and the
-/// router frames ([`Frame::Route`] / [`Frame::Routed`]).
-pub const PROTOCOL_VERSION: u16 = 2;
+/// router frames ([`Frame::Route`] / [`Frame::Routed`]); version 3
+/// encodes Decision notes as tagged binary instead of JSON lines.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Hard cap on `len` (type byte + payload). Large enough for a
 /// 1024-core snapshot, small enough that a hostile length prefix
@@ -94,8 +97,8 @@ pub enum WireError {
         /// The declared count.
         got: u64,
     },
-    /// A Decision note did not parse as an event JSON line.
-    BadNote,
+    /// A Decision note carried an unknown tag byte.
+    UnknownNoteTag(u8),
     /// A Decision command carried an unknown tag byte.
     UnknownCommandTag(u8),
 }
@@ -113,7 +116,7 @@ impl std::fmt::Display for WireError {
             WireError::BadUtf8(what) => write!(f, "{what} is not valid UTF-8"),
             WireError::BadBool(what) => write!(f, "{what} is not a 0/1 bool"),
             WireError::TooMany { what, got } => write!(f, "{what} count {got} exceeds wire cap"),
-            WireError::BadNote => write!(f, "decision note is not a valid event line"),
+            WireError::UnknownNoteTag(t) => write!(f, "unknown note tag {t:#04x}"),
             WireError::UnknownCommandTag(t) => write!(f, "unknown command tag {t:#04x}"),
         }
     }
@@ -326,6 +329,168 @@ fn put_command(out: &mut Vec<u8>, cmd: &Command) {
     }
 }
 
+/// The wire tag of each note kind. Spelled out rather than taken from
+/// the enum's order, so reordering [`EventKind`] cannot silently change
+/// the wire; a test pins every value, and the exhaustive match makes a
+/// new kind fail to compile until it has a tag.
+const fn note_tag(kind: EventKind) -> u8 {
+    match kind {
+        EventKind::FreqChange => 0x00,
+        EventKind::CoreOnline => 0x01,
+        EventKind::CoreOffline => 0x02,
+        EventKind::HotplugVetoed => 0x03,
+        EventKind::HotplugDecision => 0x04,
+        EventKind::QuotaShrink => 0x05,
+        EventKind::QuotaRestore => 0x06,
+        EventKind::ThermalThrottle => 0x07,
+        EventKind::ThermalClear => 0x08,
+        EventKind::BwThrottle => 0x09,
+        EventKind::PolicyDecision => 0x0A,
+        EventKind::DvfsDecision => 0x0B,
+        EventKind::ConnAccepted => 0x0C,
+        EventKind::ConnClosed => 0x0D,
+        EventKind::SessionStart => 0x0E,
+        EventKind::SessionEnd => 0x0F,
+        EventKind::Backpressure => 0x10,
+        EventKind::ServeShutdown => 0x11,
+        EventKind::ShardRouted => 0x12,
+        EventKind::FleetShardSummary => 0x13,
+    }
+}
+
+/// [`note_tag`] inverted: the kind each tag byte names, if any. Built at
+/// compile time, which also rejects a tag used twice.
+const NOTE_KIND_BY_TAG: [Option<EventKind>; 256] = {
+    let mut table = [None; 256];
+    let mut i = 0;
+    while i < EventKind::ALL.len() {
+        let kind = EventKind::ALL[i];
+        let tag = note_tag(kind) as usize;
+        assert!(table[tag].is_none(), "two note kinds share a tag");
+        table[tag] = Some(kind);
+        i += 1;
+    }
+    table
+};
+
+/// Encodes one Decision note: its tag, then its fields in declaration
+/// order (`usize` as u64, f64 as IEEE bits, strings via [`put_str`]).
+fn put_note(out: &mut Vec<u8>, note: &EventData) {
+    out.push(note_tag(note.kind()));
+    match note {
+        EventData::FreqChange {
+            core,
+            from_khz,
+            to_khz,
+            requested_khz,
+        } => {
+            put_u64(out, *core as u64);
+            put_u32(out, *from_khz);
+            put_u32(out, *to_khz);
+            put_u32(out, *requested_khz);
+        }
+        EventData::CoreOnline { core } | EventData::CoreOffline { core } => {
+            put_u64(out, *core as u64);
+        }
+        EventData::HotplugVetoed { core, mpdecision } => {
+            put_u64(out, *core as u64);
+            put_bool(out, *mpdecision);
+        }
+        EventData::HotplugDecision {
+            policy,
+            online_now,
+            want,
+        } => {
+            put_str(out, policy);
+            put_u64(out, *online_now as u64);
+            put_u64(out, *want as u64);
+        }
+        EventData::QuotaShrink { from, to } | EventData::QuotaRestore { from, to } => {
+            put_f64(out, *from);
+            put_f64(out, *to);
+        }
+        EventData::ThermalThrottle { cap_opp, temp_c }
+        | EventData::ThermalClear { cap_opp, temp_c } => {
+            put_u64(out, *cap_opp as u64);
+            put_f64(out, *temp_c);
+        }
+        EventData::BwThrottle { denied_us } => put_u64(out, *denied_us),
+        EventData::PolicyDecision {
+            policy,
+            mode,
+            util_pct,
+            quota,
+            target_online,
+            f_khz,
+        } => {
+            put_str(out, policy);
+            put_str(out, mode);
+            put_f64(out, *util_pct);
+            put_f64(out, *quota);
+            put_u64(out, *target_online as u64);
+            put_u32(out, *f_khz);
+        }
+        EventData::DvfsDecision {
+            governor,
+            util_pct,
+            from_khz,
+            to_khz,
+        } => {
+            put_str(out, governor);
+            put_f64(out, *util_pct);
+            put_u32(out, *from_khz);
+            put_u32(out, *to_khz);
+        }
+        EventData::ConnAccepted { conn } => put_u64(out, *conn),
+        EventData::ConnClosed {
+            conn,
+            frames_in,
+            frames_out,
+        } => {
+            put_u64(out, *conn);
+            put_u64(out, *frames_in);
+            put_u64(out, *frames_out);
+        }
+        EventData::SessionStart { session, policy } => {
+            put_u64(out, *session);
+            put_str(out, policy);
+        }
+        EventData::SessionEnd {
+            session,
+            decisions,
+            drained,
+        } => {
+            put_u64(out, *session);
+            put_u64(out, *decisions);
+            put_bool(out, *drained);
+        }
+        EventData::Backpressure {
+            session,
+            queued,
+            limit,
+        } => {
+            put_u64(out, *session);
+            put_u64(out, *queued);
+            put_u64(out, *limit);
+        }
+        EventData::ServeShutdown { active_sessions } => put_u64(out, *active_sessions),
+        EventData::ShardRouted { conn, key, shard } => {
+            put_u64(out, *conn);
+            put_u64(out, *key);
+            put_str(out, shard);
+        }
+        EventData::FleetShardSummary {
+            shard,
+            sessions,
+            decisions,
+        } => {
+            put_str(out, shard);
+            put_u64(out, *sessions);
+            put_u64(out, *decisions);
+        }
+    }
+}
+
 /// Appends `frame`'s wire bytes to `out`.
 pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
     let len_at = out.len();
@@ -379,16 +544,7 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
             #[allow(clippy::cast_possible_truncation)]
             put_u16(out, n as u16);
             for note in notes.iter().take(n) {
-                // Reuse the JSONL event codec so note payloads follow
-                // the telemetry crate wherever it goes; t_us 0 is a
-                // placeholder the receiver discards.
-                let line = Event {
-                    t_us: 0,
-                    data: note.clone(),
-                }
-                .to_json()
-                .to_compact();
-                put_str(out, &line);
+                put_note(out, note);
             }
         }
         Frame::Backpressure { queued, limit } => {
@@ -439,53 +595,70 @@ pub fn frame_bytes(frame: &Frame) -> Vec<u8> {
 // ---------------------------------------------------------------- decode
 
 struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// The bytes not yet read.
+    rest: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
     fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+        Reader { rest: buf }
     }
 
     fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.rest.len()
     }
 
+    #[inline]
     fn bytes(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated(what));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        let (head, tail) = self
+            .rest
+            .split_at_checked(n)
+            .ok_or(WireError::Truncated(what))?;
+        self.rest = tail;
+        Ok(head)
     }
 
+    #[inline]
+    fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], WireError> {
+        let (head, tail) = self
+            .rest
+            .split_first_chunk::<N>()
+            .ok_or(WireError::Truncated(what))?;
+        self.rest = tail;
+        Ok(*head)
+    }
+
+    #[inline]
     fn u8(&mut self, what: &'static str) -> Result<u8, WireError> {
-        Ok(self.bytes(1, what)?[0])
+        Ok(self.array::<1>(what)?[0])
     }
 
+    #[inline]
     fn u16(&mut self, what: &'static str) -> Result<u16, WireError> {
-        let b = self.bytes(2, what)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+        Ok(u16::from_le_bytes(self.array(what)?))
     }
 
+    #[inline]
     fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
-        let b = self.bytes(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(self.array(what)?))
     }
 
+    #[inline]
     fn u64(&mut self, what: &'static str) -> Result<u64, WireError> {
-        let b = self.bytes(8, what)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
+        Ok(u64::from_le_bytes(self.array(what)?))
     }
 
+    #[inline]
+    fn usize(&mut self, what: &'static str) -> Result<usize, WireError> {
+        Ok(usize::try_from(self.u64(what)?).unwrap_or(usize::MAX))
+    }
+
+    #[inline]
     fn f64(&mut self, what: &'static str) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64(what)?))
     }
 
+    #[inline]
     fn bool(&mut self, what: &'static str) -> Result<bool, WireError> {
         match self.u8(what)? {
             0 => Ok(false),
@@ -494,6 +667,7 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[inline]
     fn str(&mut self, what: &'static str) -> Result<String, WireError> {
         let len = self.u16(what)? as usize;
         if len > MAX_WIRE_STR {
@@ -567,6 +741,102 @@ fn read_command(r: &mut Reader<'_>) -> Result<Command, WireError> {
     }
 }
 
+fn read_note(r: &mut Reader<'_>) -> Result<EventData, WireError> {
+    let tag = r.u8("note.tag")?;
+    let kind = NOTE_KIND_BY_TAG[usize::from(tag)].ok_or(WireError::UnknownNoteTag(tag))?;
+    Ok(match kind {
+        EventKind::FreqChange => EventData::FreqChange {
+            core: r.usize("note.core")?,
+            from_khz: r.u32("note.from_khz")?,
+            to_khz: r.u32("note.to_khz")?,
+            requested_khz: r.u32("note.requested_khz")?,
+        },
+        EventKind::CoreOnline => EventData::CoreOnline {
+            core: r.usize("note.core")?,
+        },
+        EventKind::CoreOffline => EventData::CoreOffline {
+            core: r.usize("note.core")?,
+        },
+        EventKind::HotplugVetoed => EventData::HotplugVetoed {
+            core: r.usize("note.core")?,
+            mpdecision: r.bool("note.mpdecision")?,
+        },
+        EventKind::HotplugDecision => EventData::HotplugDecision {
+            policy: r.str("note.policy")?,
+            online_now: r.usize("note.online_now")?,
+            want: r.usize("note.want")?,
+        },
+        EventKind::QuotaShrink => EventData::QuotaShrink {
+            from: r.f64("note.from")?,
+            to: r.f64("note.to")?,
+        },
+        EventKind::QuotaRestore => EventData::QuotaRestore {
+            from: r.f64("note.from")?,
+            to: r.f64("note.to")?,
+        },
+        EventKind::ThermalThrottle => EventData::ThermalThrottle {
+            cap_opp: r.usize("note.cap_opp")?,
+            temp_c: r.f64("note.temp_c")?,
+        },
+        EventKind::ThermalClear => EventData::ThermalClear {
+            cap_opp: r.usize("note.cap_opp")?,
+            temp_c: r.f64("note.temp_c")?,
+        },
+        EventKind::BwThrottle => EventData::BwThrottle {
+            denied_us: r.u64("note.denied_us")?,
+        },
+        EventKind::PolicyDecision => EventData::PolicyDecision {
+            policy: r.str("note.policy")?,
+            mode: r.str("note.mode")?,
+            util_pct: r.f64("note.util_pct")?,
+            quota: r.f64("note.quota")?,
+            target_online: r.usize("note.target_online")?,
+            f_khz: r.u32("note.f_khz")?,
+        },
+        EventKind::DvfsDecision => EventData::DvfsDecision {
+            governor: r.str("note.governor")?,
+            util_pct: r.f64("note.util_pct")?,
+            from_khz: r.u32("note.from_khz")?,
+            to_khz: r.u32("note.to_khz")?,
+        },
+        EventKind::ConnAccepted => EventData::ConnAccepted {
+            conn: r.u64("note.conn")?,
+        },
+        EventKind::ConnClosed => EventData::ConnClosed {
+            conn: r.u64("note.conn")?,
+            frames_in: r.u64("note.frames_in")?,
+            frames_out: r.u64("note.frames_out")?,
+        },
+        EventKind::SessionStart => EventData::SessionStart {
+            session: r.u64("note.session")?,
+            policy: r.str("note.policy")?,
+        },
+        EventKind::SessionEnd => EventData::SessionEnd {
+            session: r.u64("note.session")?,
+            decisions: r.u64("note.decisions")?,
+            drained: r.bool("note.drained")?,
+        },
+        EventKind::Backpressure => EventData::Backpressure {
+            session: r.u64("note.session")?,
+            queued: r.u64("note.queued")?,
+            limit: r.u64("note.limit")?,
+        },
+        EventKind::ServeShutdown => EventData::ServeShutdown {
+            active_sessions: r.u64("note.active_sessions")?,
+        },
+        EventKind::ShardRouted => EventData::ShardRouted {
+            conn: r.u64("note.conn")?,
+            key: r.u64("note.key")?,
+            shard: r.str("note.shard")?,
+        },
+        EventKind::FleetShardSummary => EventData::FleetShardSummary {
+            shard: r.str("note.shard")?,
+            sessions: r.u64("note.sessions")?,
+            decisions: r.u64("note.decisions")?,
+        },
+    })
+}
+
 /// Attempts to decode one frame from the front of `buf`.
 ///
 /// * `Ok(None)` — `buf` holds a prefix of a valid frame; read more.
@@ -634,9 +904,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
             }
             let mut notes = Vec::with_capacity(n_notes);
             for _ in 0..n_notes {
-                let line = r.str("decision.note")?;
-                let event = Event::from_json_line(&line).map_err(|_| WireError::BadNote)?;
-                notes.push(event.data);
+                notes.push(read_note(&mut r)?);
             }
             Frame::Decision {
                 seq,
@@ -866,6 +1134,165 @@ mod tests {
         assert_eq!(second, Frame::ByeAck { decisions: 1 });
         assert_eq!(used + used2, bytes.len());
         assert!(!has_complete_frame(&bytes[used + used2..]));
+    }
+
+    /// One note of every kind, with every f64 field set to `f`, every
+    /// integer field to `n` (saturated into narrower types) and every
+    /// string to `s`.
+    fn every_note(f: f64, n: u64, s: &str) -> Vec<EventData> {
+        let us = usize::try_from(n).unwrap_or(usize::MAX);
+        let k = u32::try_from(n).unwrap_or(u32::MAX);
+        vec![
+            EventData::FreqChange {
+                core: us,
+                from_khz: k,
+                to_khz: k,
+                requested_khz: k,
+            },
+            EventData::CoreOnline { core: us },
+            EventData::CoreOffline { core: us },
+            EventData::HotplugVetoed {
+                core: us,
+                mpdecision: true,
+            },
+            EventData::HotplugDecision {
+                policy: s.into(),
+                online_now: us,
+                want: us,
+            },
+            EventData::QuotaShrink { from: f, to: f },
+            EventData::QuotaRestore { from: f, to: f },
+            EventData::ThermalThrottle {
+                cap_opp: us,
+                temp_c: f,
+            },
+            EventData::ThermalClear {
+                cap_opp: us,
+                temp_c: f,
+            },
+            EventData::BwThrottle { denied_us: n },
+            EventData::PolicyDecision {
+                policy: s.into(),
+                mode: s.into(),
+                util_pct: f,
+                quota: f,
+                target_online: us,
+                f_khz: k,
+            },
+            EventData::DvfsDecision {
+                governor: s.into(),
+                util_pct: f,
+                from_khz: k,
+                to_khz: k,
+            },
+            EventData::ConnAccepted { conn: n },
+            EventData::ConnClosed {
+                conn: n,
+                frames_in: n,
+                frames_out: n,
+            },
+            EventData::SessionStart {
+                session: n,
+                policy: s.into(),
+            },
+            EventData::SessionEnd {
+                session: n,
+                decisions: n,
+                drained: false,
+            },
+            EventData::Backpressure {
+                session: n,
+                queued: n,
+                limit: n,
+            },
+            EventData::ServeShutdown { active_sessions: n },
+            EventData::ShardRouted {
+                conn: n,
+                key: n,
+                shard: s.into(),
+            },
+            EventData::FleetShardSummary {
+                shard: s.into(),
+                sessions: n,
+                decisions: n,
+            },
+        ]
+    }
+
+    /// The bit patterns of a note's f64 fields, in declaration order.
+    fn f64_bits(note: &EventData) -> Vec<u64> {
+        match note {
+            EventData::QuotaShrink { from, to } | EventData::QuotaRestore { from, to } => {
+                vec![from.to_bits(), to.to_bits()]
+            }
+            EventData::ThermalThrottle { temp_c, .. } | EventData::ThermalClear { temp_c, .. } => {
+                vec![temp_c.to_bits()]
+            }
+            EventData::PolicyDecision {
+                util_pct, quota, ..
+            } => vec![util_pct.to_bits(), quota.to_bits()],
+            EventData::DvfsDecision { util_pct, .. } => vec![util_pct.to_bits()],
+            _ => Vec::new(),
+        }
+    }
+
+    #[test]
+    fn every_note_field_round_trips_bit_for_bit() {
+        let kinds: std::collections::BTreeSet<EventKind> =
+            every_note(0.0, 0, "").iter().map(EventData::kind).collect();
+        assert_eq!(kinds.len(), EventKind::ALL.len(), "one note per kind");
+        let specials = [
+            f64::from_bits(0x7FF8_0000_DEAD_BEEF), // quiet NaN with a payload
+            f64::from_bits(0xFFF0_0000_0000_0001), // negative signalling NaN
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            f64::from_bits(1), // smallest subnormal
+            f64::MIN_POSITIVE / 3.0,
+            0.1,
+        ];
+        // Integers past 2^53, where an f64 round trip would lose bits.
+        let big = [(1 << 53) + 1, u64::MAX - 1, u64::MAX];
+        for (i, &f) in specials.iter().enumerate() {
+            let n = big[i % big.len()];
+            let notes = every_note(f, n, "né°");
+            let frame = Frame::Decision {
+                seq: 1,
+                commands: Vec::new(),
+                notes: notes.clone(),
+            };
+            let bytes = frame_bytes(&frame);
+            let (back, used) = decode_frame(&bytes)
+                .unwrap_or_else(|e| panic!("{f:?} ({:#x}): {e}", f.to_bits()))
+                .expect("complete");
+            assert_eq!(used, bytes.len());
+            assert_eq!(frame_bytes(&back), bytes, "re-encodes identically");
+            let Frame::Decision { notes: back, .. } = back else {
+                panic!("wrong frame kind")
+            };
+            assert_eq!(back.len(), notes.len());
+            for (got, want) in back.iter().zip(&notes) {
+                assert_eq!(got.kind(), want.kind());
+                assert_eq!(f64_bits(got), f64_bits(want), "{:?}", want.kind());
+                if !f.is_nan() {
+                    assert_eq!(got, want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_note_tag_is_typed() {
+        let mut bytes = frame_bytes(&Frame::Decision {
+            seq: 0,
+            commands: Vec::new(),
+            notes: vec![EventData::CoreOnline { core: 1 }],
+        });
+        // The note tag follows len (4), type (1), seq (8), n_commands
+        // (2) and n_notes (2).
+        assert_eq!(bytes[17], note_tag(EventKind::CoreOnline));
+        bytes[17] = 0xEE;
+        assert_eq!(decode_frame(&bytes), Err(WireError::UnknownNoteTag(0xEE)));
     }
 
     #[test]

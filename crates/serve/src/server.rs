@@ -33,7 +33,7 @@ use crate::registry;
 use mobicore_analyze::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use mobicore_analyze::sync::{lock_unpoisoned, Arc, Mutex};
 use mobicore_sim::{CpuControl, CpuPolicy};
-use mobicore_telemetry::{EventData, RunManifest, Telemetry};
+use mobicore_telemetry::{CounterSlot, EventData, HistogramSlot, RunManifest, Telemetry};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -146,11 +146,27 @@ pub struct ServeStats {
     pub active_conns: u64,
 }
 
+/// The daemon's telemetry plus the slots of its per-decision metrics,
+/// under one lock so a decision updates all three metrics at once.
+struct ServeTelemetry {
+    tel: Telemetry,
+    /// Resolved on the first decision, so a server that served nothing
+    /// keeps the same manifest.
+    decision: Option<DecisionSlots>,
+}
+
+#[derive(Clone, Copy)]
+struct DecisionSlots {
+    decisions: CounterSlot,
+    notes: CounterSlot,
+    decision_us: HistogramSlot,
+}
+
 struct Shared {
     cfg: ServeConfig,
     state: AtomicU8,
     start: Instant,
-    telemetry: Mutex<Telemetry>,
+    telemetry: Mutex<ServeTelemetry>,
     injector: Mutex<VecDeque<Session>>,
     live_sessions: AtomicUsize,
     active_conns: AtomicUsize,
@@ -176,21 +192,35 @@ impl Shared {
 
     fn emit(&self, data: EventData) {
         let t = self.t_us();
-        if let Ok(mut tel) = self.telemetry.lock() {
-            tel.emit(t, data);
+        if let Ok(mut guard) = self.telemetry.lock() {
+            guard.tel.emit(t, data);
         }
     }
 
     fn count(&self, name: &str, by: u64) {
-        if let Ok(mut tel) = self.telemetry.lock() {
-            tel.count(name, by);
+        if let Ok(mut guard) = self.telemetry.lock() {
+            guard.tel.count(name, by);
         }
     }
 
-    fn record(&self, name: &str, v: f64) {
-        if let Ok(mut tel) = self.telemetry.lock() {
-            tel.record(name, v);
-        }
+    /// One served decision: `serve.decisions`, `serve.notes` and
+    /// `serve.decision_us` under a single lock, by slot.
+    fn record_decision(&self, notes: u64, service_us: f64) {
+        let Ok(mut guard) = self.telemetry.lock() else {
+            return;
+        };
+        let ServeTelemetry { tel, decision } = &mut *guard;
+        let Some(m) = tel.metrics_mut() else {
+            return;
+        };
+        let slots = *decision.get_or_insert_with(|| DecisionSlots {
+            decisions: m.counter_slot("serve.decisions"),
+            notes: m.counter_slot("serve.notes"),
+            decision_us: m.histogram_slot("serve.decision_us"),
+        });
+        m.inc_at(slots.decisions, 1);
+        m.inc_at(slots.notes, notes);
+        m.record_at(slots.decision_us, service_us);
     }
 
     fn stats(&self) -> ServeStats {
@@ -549,9 +579,7 @@ fn handle_frame(sess: &mut Session, shared: &Shared, frame: Frame) {
             // decrement of live_sessions when the session retires
             // (model-checked: protocols::serve::check_drain_stats_exact).
             shared.decisions.fetch_add(1, Ordering::Relaxed);
-            shared.count("serve.decisions", 1);
-            shared.count("serve.notes", notes.len() as u64);
-            shared.record("serve.decision_us", service_us);
+            shared.record_decision(notes.len() as u64, service_us);
             sess.send(&Frame::Decision {
                 seq,
                 commands,
@@ -788,7 +816,10 @@ impl Server {
             cfg,
             state: AtomicU8::new(STATE_RUNNING),
             start: Instant::now(),
-            telemetry: Mutex::new(Telemetry::enabled()),
+            telemetry: Mutex::new(ServeTelemetry {
+                tel: Telemetry::enabled(),
+                decision: None,
+            }),
             injector: Mutex::new(VecDeque::new()),
             live_sessions: AtomicUsize::new(0),
             active_conns: AtomicUsize::new(0),
@@ -844,7 +875,7 @@ impl Server {
     pub fn manifest(&self, name: &str) -> RunManifest {
         let shared = &self.shared;
         let (metrics, event_counts) = match shared.telemetry.lock() {
-            Ok(tel) => (tel.metrics().rollups(), tel.event_counts()),
+            Ok(t) => (t.tel.metrics().rollups(), t.tel.event_counts()),
             Err(_) => (BTreeMap::new(), BTreeMap::new()),
         };
         let mut tags = BTreeMap::new();
@@ -882,7 +913,7 @@ impl Server {
         self.shared
             .telemetry
             .lock()
-            .map(|tel| tel.events_jsonl())
+            .map(|t| t.tel.events_jsonl())
             .unwrap_or_default()
     }
 

@@ -9,7 +9,7 @@ use mobicore_serve::protocol::{
 };
 use mobicore_serve::rendezvous_shard;
 use mobicore_sim::{Command, CoreSnapshot, PolicySnapshot};
-use mobicore_telemetry::EventData;
+use mobicore_telemetry::{EventData, EventKind};
 use proptest::prelude::*;
 
 fn snapshot(
@@ -39,6 +39,25 @@ fn snapshot(
         max_runnable_threads: n_cores * 2,
         temp_c: temp,
     }
+}
+
+/// Edge-case f64 bit patterns: quiet NaN with a payload, signalling
+/// NaN, ±inf, -0.0, the smallest subnormal and the largest subnormal.
+const SPECIAL_F64_BITS: [u64; 7] = [
+    0x7FF8_0000_DEAD_BEEF,
+    0xFFF0_0000_0000_0001,
+    0x7FF0_0000_0000_0000,
+    0xFFF0_0000_0000_0000,
+    0x8000_0000_0000_0000,
+    0x0000_0000_0000_0001,
+    0x000F_FFFF_FFFF_FFFF,
+];
+
+/// Arbitrary f64 bit patterns, half of them drawn from the edge cases
+/// (a uniform draw is NaN only once in 2048).
+fn f64_bit_pattern() -> impl Strategy<Value = u64> {
+    (0u64..=u64::MAX, 0usize..2 * SPECIAL_F64_BITS.len())
+        .prop_map(|(bits, pick)| SPECIAL_F64_BITS.get(pick).copied().unwrap_or(bits))
 }
 
 proptest! {
@@ -163,15 +182,21 @@ proptest! {
         prop_assert_eq!(snap.mpdecision_enabled, orig.mpdecision_enabled);
     }
 
-    /// Decision frames round-trip commands and telemetry notes exactly.
+    /// Decision frames round-trip commands and telemetry notes exactly:
+    /// a note of every kind, arbitrary f64 bit patterns (NaN payloads,
+    /// ±inf, -0.0, subnormals), full-range integers and arbitrary UTF-8
+    /// strings.
     #[test]
     fn decision_round_trips(
-        seq in 0u64..u64::MAX,
+        seq in 0u64..=u64::MAX,
         khz in 100_000u32..3_000_000,
         core in 0usize..8,
         online in proptest::prelude::any::<bool>(),
         quota in 0.2f64..=1.0,
         n_repeat in 0usize..6,
+        f64_bits in proptest::collection::vec(f64_bit_pattern(), 1..8),
+        ints in proptest::collection::vec(0u64..=u64::MAX, 1..8),
+        strings in proptest::collection::vec("[a-zA-Z0-9:._ é°-]{0,40}", 1..4),
     ) {
         let mut commands = vec![
             Command::SetFreq { core, khz: Khz(khz) },
@@ -182,21 +207,15 @@ proptest! {
         for _ in 0..n_repeat {
             commands.push(Command::SetFreqAll { khz: Khz(khz) });
         }
-        let notes = vec![
-            EventData::PolicyDecision {
-                policy: "mobicore".to_string(),
-                mode: "balanced".to_string(),
-                util_pct: 50.0,
-                quota,
-                target_online: 2,
-                f_khz: khz,
-            },
-        ];
+        let notes = every_note(&f64_bits, &ints, &strings);
         let frame = Frame::Decision { seq, commands, notes };
         let bytes = frame_bytes(&frame);
         let (back, used) = decode_frame(&bytes).expect("valid").expect("complete");
         prop_assert_eq!(used, bytes.len());
-        prop_assert_eq!(back, frame);
+        // NaN != NaN, so compare the re-encoded bytes (every f64 as its
+        // bit pattern) and the Debug rendering (structure, -0.0, ints).
+        prop_assert_eq!(frame_bytes(&back), bytes);
+        prop_assert_eq!(format!("{back:?}"), format!("{frame:?}"));
     }
 
     /// Concatenated frames decode one at a time, in order, consuming
@@ -222,6 +241,141 @@ proptest! {
         }
         prop_assert_eq!(pos, stream.len());
         prop_assert!(decode_frame(&stream[pos..]).expect("empty tail is fine").is_none());
+    }
+}
+
+/// One note of every kind in `EventKind::ALL` order, drawing f64
+/// fields (as bit patterns), integer fields and strings round-robin from
+/// the given pools.
+fn every_note(f64_bits: &[u64], ints: &[u64], strings: &[String]) -> Vec<EventData> {
+    let mut f = f64_bits.iter().cycle().map(|&b| f64::from_bits(b));
+    let mut n = ints.iter().copied().cycle();
+    let mut s = strings.iter().cycle().cloned();
+    let mut f = move || f.next().expect("non-empty pool");
+    let mut n = move || n.next().expect("non-empty pool");
+    let mut s = move || s.next().expect("non-empty pool");
+    // Truncating casts: every bit pattern of the narrower field type.
+    let us = |v: u64| v as usize;
+    let khz = |v: u64| v as u32;
+    let notes = vec![
+        EventData::FreqChange {
+            core: us(n()),
+            from_khz: khz(n()),
+            to_khz: khz(n()),
+            requested_khz: khz(n()),
+        },
+        EventData::CoreOnline { core: us(n()) },
+        EventData::CoreOffline { core: us(n()) },
+        EventData::HotplugVetoed {
+            core: us(n()),
+            mpdecision: n() % 2 == 1,
+        },
+        EventData::HotplugDecision {
+            policy: s(),
+            online_now: us(n()),
+            want: us(n()),
+        },
+        EventData::QuotaShrink { from: f(), to: f() },
+        EventData::QuotaRestore { from: f(), to: f() },
+        EventData::ThermalThrottle {
+            cap_opp: us(n()),
+            temp_c: f(),
+        },
+        EventData::ThermalClear {
+            cap_opp: us(n()),
+            temp_c: f(),
+        },
+        EventData::BwThrottle { denied_us: n() },
+        EventData::PolicyDecision {
+            policy: s(),
+            mode: s(),
+            util_pct: f(),
+            quota: f(),
+            target_online: us(n()),
+            f_khz: khz(n()),
+        },
+        EventData::DvfsDecision {
+            governor: s(),
+            util_pct: f(),
+            from_khz: khz(n()),
+            to_khz: khz(n()),
+        },
+        EventData::ConnAccepted { conn: n() },
+        EventData::ConnClosed {
+            conn: n(),
+            frames_in: n(),
+            frames_out: n(),
+        },
+        EventData::SessionStart {
+            session: n(),
+            policy: s(),
+        },
+        EventData::SessionEnd {
+            session: n(),
+            decisions: n(),
+            drained: n() % 2 == 0,
+        },
+        EventData::Backpressure {
+            session: n(),
+            queued: n(),
+            limit: n(),
+        },
+        EventData::ServeShutdown {
+            active_sessions: n(),
+        },
+        EventData::ShardRouted {
+            conn: n(),
+            key: n(),
+            shard: s(),
+        },
+        EventData::FleetShardSummary {
+            shard: s(),
+            sessions: n(),
+            decisions: n(),
+        },
+    ];
+    let kinds: Vec<EventKind> = notes.iter().map(EventData::kind).collect();
+    assert_eq!(kinds, EventKind::ALL, "one note of every kind, in order");
+    notes
+}
+
+/// Each note kind's wire tag is pinned: reordering `EventKind` (or the
+/// encoder's tag table) must not silently change the wire.
+#[test]
+fn note_tags_are_pinned() {
+    let notes = every_note(&[0], &[0], &[String::new()]);
+    let expected: [(EventKind, u8); 20] = [
+        (EventKind::FreqChange, 0x00),
+        (EventKind::CoreOnline, 0x01),
+        (EventKind::CoreOffline, 0x02),
+        (EventKind::HotplugVetoed, 0x03),
+        (EventKind::HotplugDecision, 0x04),
+        (EventKind::QuotaShrink, 0x05),
+        (EventKind::QuotaRestore, 0x06),
+        (EventKind::ThermalThrottle, 0x07),
+        (EventKind::ThermalClear, 0x08),
+        (EventKind::BwThrottle, 0x09),
+        (EventKind::PolicyDecision, 0x0A),
+        (EventKind::DvfsDecision, 0x0B),
+        (EventKind::ConnAccepted, 0x0C),
+        (EventKind::ConnClosed, 0x0D),
+        (EventKind::SessionStart, 0x0E),
+        (EventKind::SessionEnd, 0x0F),
+        (EventKind::Backpressure, 0x10),
+        (EventKind::ServeShutdown, 0x11),
+        (EventKind::ShardRouted, 0x12),
+        (EventKind::FleetShardSummary, 0x13),
+    ];
+    assert_eq!(notes.len(), expected.len());
+    for (note, (kind, tag)) in notes.into_iter().zip(expected) {
+        assert_eq!(note.kind(), kind);
+        let bytes = frame_bytes(&Frame::Decision {
+            seq: 0,
+            commands: Vec::new(),
+            notes: vec![note],
+        });
+        // len (4) + type (1) + seq (8) + n_commands (2) + n_notes (2).
+        assert_eq!(bytes[17], tag, "{kind} tag");
     }
 }
 

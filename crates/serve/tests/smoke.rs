@@ -21,6 +21,14 @@ fn test_config() -> ServeConfig {
 fn handshake_stream_and_clean_bye() {
     let server = Server::bind("127.0.0.1:0", test_config()).expect("bind");
     let addr = server.local_addr().to_string();
+    // The per-decision metrics appear with the first decision, not before.
+    let idle = server.manifest("idle").metrics;
+    assert!(
+        !idle
+            .keys()
+            .any(|k| k.starts_with("serve.decision") || k == "serve.notes"),
+        "{idle:?}"
+    );
 
     let mut sess = ClientSession::connect(&addr, "mobicore", "nexus5", 7).expect("connect");
     assert_eq!(sess.policy_name(), "mobicore");
@@ -28,6 +36,7 @@ fn handshake_stream_and_clean_bye() {
     assert!(sess.session_id() > 0);
 
     let mut decisions = 0u64;
+    let mut notes = 0u64;
     for i in 0..32u64 {
         let snap = PolicySnapshot::synthetic(
             4,
@@ -39,9 +48,14 @@ fn handshake_stream_and_clean_bye() {
         let d = sess.request(&snap).expect("decision");
         assert_eq!(d.seq, i);
         decisions += 1;
+        notes += d.notes.len() as u64;
     }
     let server_count = sess.finish().expect("clean bye");
     assert_eq!(server_count, decisions);
+    let m = server.manifest("smoke").metrics;
+    assert_eq!(m.get("serve.decisions"), Some(&32.0));
+    assert_eq!(m.get("serve.notes"), Some(&(notes as f64)));
+    assert_eq!(m.get("serve.decision_us.count"), Some(&32.0));
 
     let stats = server.shutdown();
     assert_eq!(stats.sessions, 1);
