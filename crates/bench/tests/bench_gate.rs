@@ -12,15 +12,17 @@
 //! The gate insists on an optimized build — debug-profile throughput is
 //! ~10× below any committed release number, so comparing would only
 //! measure the profile, not a regression.
+//!
+//! Every fresh number comes from the harness's own scenarios in
+//! `mobicore_bench`, so it is comparable with the committed baseline.
 
-use mobicore::MobiCore;
-use mobicore_model::profiles;
-use mobicore_sim::{SimConfig, Simulation};
+use mobicore_bench::{
+    host_cpus, latest_committed_manifest, repo_root, serve_loopback, sim_throughput,
+    sweep_jobs_per_s, tournament_bench,
+};
 use mobicore_telemetry::RunManifest;
-use mobicore_workloads::BusyLoop;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Maximum tolerated drop vs the committed baseline.
 const MAX_REGRESSION: f64 = 0.25;
@@ -29,98 +31,6 @@ const MAX_REGRESSION: f64 = 0.25;
 /// host two concurrent gate measurements steal CPU from each other and
 /// fail spuriously. Each gate holds this lock across its measurement.
 static GATE_LOCK: Mutex<()> = Mutex::new(());
-
-/// The same scenario `bench-manifest` records, so numbers are comparable.
-fn fresh_sim_s_per_wall_s(secs: u64) -> f64 {
-    let profile = profiles::nexus5();
-    let f_max = profile.opps().max_khz();
-    let cfg = SimConfig::new(profile.clone())
-        .with_duration_secs(secs)
-        .with_seed(20_170_315)
-        .without_mpdecision();
-    let mut sim =
-        Simulation::new(cfg, Box::new(MobiCore::new(&profile))).expect("bench config is valid");
-    sim.add_workload(Box::new(BusyLoop::with_target_util(4, 0.3, f_max, 2)));
-    let t = Instant::now();
-    sim.run();
-    secs as f64 / t.elapsed().as_secs_f64()
-}
-
-/// A fresh loopback serve measurement shaped like the one
-/// `bench-manifest` records (128 sessions over 4 drivers, 50 snapshots
-/// each), so numbers are comparable with the committed baseline.
-fn fresh_serve_decisions_per_s() -> f64 {
-    let server = mobicore_serve::Server::bind(
-        "127.0.0.1:0",
-        mobicore_serve::ServeConfig::default()
-            .with_workers(2)
-            .with_drain_deadline(std::time::Duration::from_secs(3)),
-    )
-    .expect("loopback bind");
-    let cfg = mobicore_serve::LoadConfig {
-        sessions: 128,
-        drivers: 4,
-        record_secs: 2,
-        snapshots_per_session: 50,
-        seed: 20_170_315,
-        ..mobicore_serve::LoadConfig::default()
-    };
-    let report = mobicore_serve::run_load(&server.local_addr().to_string(), &cfg)
-        .expect("loopback load runs");
-    assert!(report.clean(), "gate run must be loss-free: {report:?}");
-    server.shutdown();
-    report.decisions_per_s
-}
-
-/// A fresh tournament measurement shaped exactly like the one
-/// `bench-manifest` records (3 policies × 3 scenarios × 3 seeds ×
-/// 20 s), so `runs_per_s` is comparable with the committed baseline.
-fn fresh_tournament() -> mobicore_tournament::TournamentOutput {
-    let spec = mobicore_tournament::TournamentSpec {
-        name: "bench".to_string(),
-        policies: vec![
-            "mobicore".to_string(),
-            "android-default".to_string(),
-            "learned".to_string(),
-        ],
-        scenarios: vec![
-            "steady-video".to_string(),
-            "mixed-day-mini".to_string(),
-            "idle-day".to_string(),
-        ],
-        seeds: (20_170_315..20_170_318).collect(),
-        secs: 20,
-    };
-    mobicore_tournament::run(&spec)
-}
-
-/// The newest committed `BENCH_NN.json` manifest at the repo root.
-fn latest_committed_manifest(root: &Path) -> Option<(PathBuf, RunManifest)> {
-    let mut candidates: Vec<PathBuf> = std::fs::read_dir(root)
-        .ok()?
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-        })
-        .collect();
-    candidates.sort();
-    // Names are BENCH_NN.json, so lexicographic max == newest.
-    let newest = candidates.pop()?;
-    let text = std::fs::read_to_string(&newest).ok()?;
-    let m = RunManifest::from_json_text(&text).ok()?;
-    Some((newest, m))
-}
-
-/// Current host's logical CPU count — the counterpart of the
-/// `bench.host_cpus` metric every committed manifest records.
-fn host_cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
 
 /// True (with an explanatory note) when `baseline` was recorded on a
 /// host with a different CPU count than this one. Absolute throughput
@@ -174,7 +84,7 @@ fn bench_gate_sim_throughput_within_25_pct_of_committed() {
         );
         return;
     }
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let root = repo_root();
     let Some((baseline_path, baseline)) =
         latest_committed_baseline(&root, "bench.sim_s_per_wall_s")
     else {
@@ -182,7 +92,7 @@ fn bench_gate_sim_throughput_within_25_pct_of_committed() {
         return;
     };
     let _serial = GATE_LOCK.lock().expect("gate lock");
-    let fresh = fresh_sim_s_per_wall_s(10);
+    let fresh = sim_throughput(10).0;
     let floor = baseline * (1.0 - MAX_REGRESSION);
     eprintln!(
         "bench gate: fresh {fresh:.1} sim-s/wall-s vs baseline {baseline:.1} \
@@ -218,7 +128,7 @@ fn bench_gate_sweep_speedup_meaningful_only_on_multi_cpu_hosts() {
         eprintln!("sweep gate skipped: host has 1 cpu, j4-over-j1 speedup is not meaningful");
         return;
     }
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let root = repo_root();
     let Some((baseline_path, baseline_manifest)) = latest_committed_manifest(&root) else {
         eprintln!("sweep gate skipped: no committed BENCH_*.json found");
         return;
@@ -253,38 +163,7 @@ fn bench_gate_sweep_speedup_meaningful_only_on_multi_cpu_hosts() {
     // the committed speedup" and "actually faster than serial at all".
     let floor = (baseline * (1.0 - MAX_REGRESSION)).max(1.0);
     let _serial = GATE_LOCK.lock().expect("gate lock");
-    let fresh = {
-        use mobicore_experiments::runner::{run_pinned, ManifestSink};
-        use mobicore_sweep::Executor;
-        let profile = profiles::nexus5();
-        let sink = ManifestSink::disabled();
-        let measure = |n_jobs: usize| {
-            let exec = Executor::new(n_jobs);
-            let mut jobs = Vec::new();
-            for &opp in &[0usize, 4, 9, 13] {
-                for cores in 1..=4usize {
-                    jobs.push((cores, opp));
-                }
-            }
-            let n = jobs.len();
-            let t = Instant::now();
-            let reports = exec.run_ordered(jobs, |_, (cores, opp)| {
-                let khz = profile.opps().get_clamped(opp).khz;
-                run_pinned(
-                    &profile,
-                    cores,
-                    khz,
-                    vec![Box::new(BusyLoop::with_target_util(cores, 0.8, khz, 2))],
-                    3,
-                    20_170_315,
-                    &sink,
-                )
-            });
-            std::hint::black_box(reports);
-            n as f64 / t.elapsed().as_secs_f64()
-        };
-        measure(4) / measure(1)
-    };
+    let fresh = sweep_jobs_per_s(4, 3, 1) / sweep_jobs_per_s(1, 3, 1);
     eprintln!(
         "sweep gate: fresh speedup x{fresh:.2} vs baseline x{baseline:.2}, floor x{floor:.2}"
     );
@@ -307,7 +186,7 @@ fn bench_gate_tournament_throughput_within_25_pct_of_committed() {
         );
         return;
     }
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let root = repo_root();
     let Some((baseline_path, baseline)) =
         latest_committed_baseline(&root, "bench.tournament_runs_per_s")
     else {
@@ -315,7 +194,7 @@ fn bench_gate_tournament_throughput_within_25_pct_of_committed() {
         return;
     };
     let _serial = GATE_LOCK.lock().expect("gate lock");
-    let out = fresh_tournament();
+    let out = tournament_bench();
     let fresh = out.runs_per_s;
     let floor = baseline * (1.0 - MAX_REGRESSION);
     eprintln!(
@@ -364,14 +243,14 @@ fn bench_gate_serve_throughput_within_25_pct_of_committed() {
         );
         return;
     }
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let root = repo_root();
     let Some((baseline_path, baseline)) = latest_committed_baseline(&root, "serve.decisions_per_s")
     else {
         eprintln!("serve gate skipped: no comparable baseline carries serve.decisions_per_s");
         return;
     };
     let _serial = GATE_LOCK.lock().expect("gate lock");
-    let fresh = fresh_serve_decisions_per_s();
+    let fresh = serve_loopback(128).decisions_per_s;
     let floor = baseline * (1.0 - MAX_REGRESSION);
     eprintln!(
         "serve gate: fresh {fresh:.0} decisions/s vs baseline {baseline:.0} \
