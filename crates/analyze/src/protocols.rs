@@ -2,9 +2,10 @@
 //!
 //! Two protocols in the MobiCore workspace do real lock-free /
 //! lock-based coordination: the sweep executor's work-stealing deque
-//! pool (`crates/sweep`) and the serve worker pool's session
-//! claim / drain / backpressure state machine (`crates/serve`). Both
-//! are replicated here, operation for operation, against the
+//! pool (`crates/sweep`) and the daemon runtime's connection
+//! claim / drain / backpressure state machine, which the serve and
+//! router tiers share (`crates/serve/src/daemon.rs`). Both are
+//! replicated here, operation for operation, against the
 //! [`model::sync`](crate::model::sync) primitives so the interleaving
 //! explorer can drive them.
 //!
@@ -161,17 +162,21 @@ pub mod sweep {
     }
 }
 
-/// Replica of the serve worker pool's claim / drain / backpressure
-/// state machine.
+/// Replica of the daemon runtime's claim / drain / backpressure state
+/// machine (`crates/serve/src/daemon.rs`). The serve and router tiers
+/// run that one runtime, so its retire path (the tier's `finalize`,
+/// then the runtime's `Release` decrement of the live count) and its
+/// worker drain exit are modelled once for both. The router's relay
+/// state machine itself is not modelled.
 pub mod serve {
     use super::*;
 
     /// Bug seedings for the drain replicas.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum Seed {
-        /// Faithful replica of `crates/serve`.
+        /// Faithful replica of the daemon runtime.
         None,
-        /// `live_sessions` is decremented with `Relaxed` instead of
+        /// The live count is decremented with `Relaxed` instead of
         /// `Release` — the session's counter updates are no longer
         /// published to whoever observes the drain completing.
         RelaxedDecrement,
@@ -188,10 +193,11 @@ pub mod serve {
 
     /// The drain-stats synchronization core, isolated: two "workers"
     /// (the driver plays one) each bump the decisions counter with a
-    /// `Relaxed` RMW and then retire their session with
-    /// `live_sessions.fetch_sub(1, Release)`, exactly as
-    /// `finalize()` in `crates/serve` does. An observer that sees
-    /// `live_sessions == 0` via an `Acquire` load must observe every
+    /// `Relaxed` RMW and then retire their connection with
+    /// `live.fetch_sub(1, Release)`, exactly as the runtime's retire
+    /// path does after the tier's `finalize` in
+    /// `crates/serve/src/daemon.rs`. An observer that sees the live
+    /// count at 0 via an `Acquire` load must observe every
     /// decision: the Release decrement publishes the Relaxed counter
     /// bumps, and the second decrement's RMW continues the first
     /// one's release sequence.
@@ -223,7 +229,7 @@ pub mod serve {
                 assert_eq!(
                     decisions.load(Ordering::Relaxed),
                     5,
-                    "drain stats must be exact once live_sessions reads 0"
+                    "drain stats must be exact once the live count reads 0"
                 );
             }
             worker.join().expect("worker joins");

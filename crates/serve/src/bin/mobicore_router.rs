@@ -80,7 +80,7 @@ fn main() {
         usage()
     }
 
-    let router = match Router::bind(&addr, shards, cfg) {
+    let mut router = match Router::bind(&addr, shards, cfg) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("mobicore-router: cannot bind {addr}: {e}");
@@ -103,13 +103,14 @@ fn main() {
         }
     }
 
+    // Drain first: the manifest then covers the drain too.
+    let stats = router.drain();
     if let Some(path) = &manifest_path {
         let manifest = router.manifest("mobicore-router");
         if let Err(e) = std::fs::write(path, manifest.to_json_text()) {
             eprintln!("mobicore-router: cannot write {path}: {e}");
         }
     }
-    let stats = router.shutdown();
     println!(
         "routed {} sessions over {} conns ({} legs opened, {} reused, {} relay errors)",
         stats.routed_sessions,

@@ -66,7 +66,7 @@ fn main() {
         }
     }
 
-    let server = match Server::bind(&addr, cfg) {
+    let mut server = match Server::bind(&addr, cfg) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("mobicore-serve: cannot bind {addr}: {e}");
@@ -88,13 +88,14 @@ fn main() {
         }
     }
 
+    // Drain first: the manifest then covers the drain too.
+    let stats = server.drain();
     if let Some(path) = &manifest_path {
         let manifest = server.manifest("mobicore-serve");
         if let Err(e) = std::fs::write(path, manifest.to_json_text()) {
             eprintln!("mobicore-serve: cannot write {path}: {e}");
         }
     }
-    let stats = server.shutdown();
     println!(
         "served {} sessions, {} decisions ({} drained clean, {} aborted, {} backpressure, {} protocol errors)",
         stats.sessions,

@@ -10,7 +10,8 @@
 //! same reports and manifests as local ones ([`client::RemotePolicy`]).
 //!
 //! The daemon ([`server`]) multiplexes thousands of sessions over a
-//! fixed worker pool with work stealing, bounded per-session buffers,
+//! fixed worker pool with work stealing (a runtime the shard router
+//! shares), bounded per-session buffers,
 //! explicit [`protocol::Frame::Backpressure`] notices, typed rejection
 //! of malformed frames, and graceful drain on shutdown. The companion
 //! load generator ([`load`]) holds N concurrent sessions open, replays
@@ -36,6 +37,7 @@
 #![cfg_attr(test, allow(clippy::float_cmp))]
 
 pub mod client;
+mod daemon;
 pub mod load;
 mod poll;
 pub mod protocol;
@@ -49,4 +51,4 @@ pub use load::{
 };
 pub use protocol::{Frame, WireError, PROTOCOL_VERSION};
 pub use router::{rendezvous_shard, Router, RouterConfig, RouterStats, Shard};
-pub use server::{ServeConfig, ServeStats, Server, ServerHandle};
+pub use server::{ServeConfig, ServeStats, Server};

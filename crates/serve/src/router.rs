@@ -22,26 +22,21 @@
 //! [`codes::SHARD_UNAVAILABLE`] error frame to the client rather than
 //! a silent hangup.
 //!
-//! The threading model is the serve daemon's: one acceptor feeds an
-//! injector; N workers each own a deque of relays and steal the back
-//! half of a victim's deque when idle.
+//! The acceptor, the work-stealing worker pool and drain are the
+//! daemon runtime the serve tier also runs (`daemon.rs`); this module
+//! is the relay tier plugged into it.
 
-use crate::poll::Backoff;
+use crate::daemon::{Daemon, Link, Runtime, Service, Tier};
 use crate::protocol::{
-    codes, decode_frame, encode_frame, has_complete_frame, peek_frame_type, Frame, MAX_FRAME_LEN,
-    TY_ROUTE,
+    codes, decode_frame, has_complete_frame, peek_frame_type, Frame, MAX_FRAME_LEN, TY_ROUTE,
 };
-use mobicore_analyze::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use mobicore_analyze::sync::{lock_unpoisoned, Arc, Mutex};
-use mobicore_telemetry::{EventData, RunManifest, Telemetry};
-use std::collections::{BTreeMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::thread::JoinHandle;
+use mobicore_analyze::sync::atomic::{AtomicU64, Ordering};
+use mobicore_analyze::sync::{lock_unpoisoned, Mutex};
+use mobicore_telemetry::{EventData, RunManifest};
+use std::collections::BTreeMap;
+use std::io::ErrorKind;
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
-
-const STATE_RUNNING: u8 = 0;
-const STATE_DRAINING: u8 = 1;
 
 /// The frame types owned by the router tier (checked against
 /// `docs/serving.md` by the `registry-doc-sync` lint).
@@ -200,102 +195,60 @@ pub struct RouterStats {
 
 /// A detached, idle shard connection waiting for its next session.
 struct PooledLeg {
-    stream: TcpStream,
+    leg: Link,
     since: Instant,
 }
 
-struct Shared {
+/// The router tier's shared state.
+struct RouterTier {
     cfg: RouterConfig,
     shards: Vec<Shard>,
     names: Vec<String>,
-    state: AtomicU8,
-    start: Instant,
-    telemetry: Mutex<Telemetry>,
-    injector: Mutex<VecDeque<Relay>>,
     pools: Vec<Mutex<Vec<PooledLeg>>>,
-    live_conns: AtomicUsize,
-    active_conns: AtomicUsize,
-    next_conn: AtomicU64,
-    conns: AtomicU64,
     routed: AtomicU64,
     legs_opened: AtomicU64,
     legs_reused: AtomicU64,
     relay_errors: AtomicU64,
-    drain_deadline_at: Mutex<Option<Instant>>,
 }
 
-impl Shared {
-    fn draining(&self) -> bool {
-        self.state.load(Ordering::Acquire) == STATE_DRAINING
-    }
+type Rt = Runtime<RouterTier>;
 
-    fn t_us(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-
-    fn emit(&self, data: EventData) {
-        let t = self.t_us();
-        if let Ok(mut tel) = self.telemetry.lock() {
-            tel.emit(t, data);
-        }
-    }
-
-    fn count(&self, name: &str, by: u64) {
-        if let Ok(mut tel) = self.telemetry.lock() {
-            tel.count(name, by);
-        }
-    }
-
-    fn stats(&self) -> RouterStats {
-        // Advisory snapshot, same contract as ServeStats: exact after
-        // shutdown joins the workers, cross-counter skew tolerated
-        // while relays are in flight.
-        RouterStats {
-            conns: self.conns.load(Ordering::Relaxed), // relaxed: advisory snapshot (see above)
-            routed_sessions: self.routed.load(Ordering::Relaxed), // relaxed: advisory snapshot
-            legs_opened: self.legs_opened.load(Ordering::Relaxed), // relaxed: advisory snapshot
-            legs_reused: self.legs_reused.load(Ordering::Relaxed), // relaxed: advisory snapshot
-            relay_errors: self.relay_errors.load(Ordering::Relaxed), // relaxed: advisory snapshot
-            active_conns: self.active_conns.load(Ordering::Relaxed) as u64, // relaxed: advisory snapshot
-        }
-    }
-
-    /// A warm leg from the shard's pool, or a fresh blocking dial.
-    fn acquire_leg(&self, shard: usize) -> std::io::Result<TcpStream> {
-        loop {
-            let pooled = lock_unpoisoned(self.pools[shard].lock()).pop();
-            match pooled {
-                Some(leg) if leg.since.elapsed() <= self.cfg.pool_idle => {
-                    // relaxed: monotonic counter; published by the
-                    // Release decrement of live_conns at relay close.
-                    self.legs_reused.fetch_add(1, Ordering::Relaxed);
-                    self.count("router.legs_reused", 1);
-                    return Ok(leg.stream);
-                }
-                Some(_stale) => continue, // dropped; dial or try next
-                None => break,
+/// A warm leg from the shard's pool, or a fresh blocking dial.
+fn acquire_leg(rt: &Rt, shard: usize) -> std::io::Result<Link> {
+    let t = &rt.tier;
+    loop {
+        let pooled = lock_unpoisoned(t.pools[shard].lock()).pop();
+        match pooled {
+            Some(leg) if leg.since.elapsed() <= t.cfg.pool_idle => {
+                // relaxed: monotonic counter; published by the Release
+                // decrement of the live count at relay close.
+                t.legs_reused.fetch_add(1, Ordering::Relaxed);
+                rt.count("router.legs_reused", 1);
+                return Ok(leg.leg);
             }
+            Some(_stale) => continue, // dropped; dial or try next
+            None => break,
         }
-        let stream = TcpStream::connect(&self.shards[shard].addr)?;
-        let _ = stream.set_nodelay(true);
-        stream.set_nonblocking(true)?;
-        // relaxed: monotonic counter; published by the Release
-        // decrement of live_conns at relay close.
-        self.legs_opened.fetch_add(1, Ordering::Relaxed);
-        self.count("router.legs_opened", 1);
-        Ok(stream)
     }
+    let stream = TcpStream::connect(&t.shards[shard].addr)?;
+    let _ = stream.set_nodelay(true);
+    stream.set_nonblocking(true)?;
+    // relaxed: monotonic counter; published by the Release decrement
+    // of the live count at relay close.
+    t.legs_opened.fetch_add(1, Ordering::Relaxed);
+    rt.count("router.legs_opened", 1);
+    Ok(Link::new(stream, 0))
+}
 
-    /// Returns a healthy leg to its shard's pool for the next session.
-    fn release_leg(&self, shard: usize, stream: TcpStream) {
-        if self.draining() {
-            return; // dropping it closes the shard conn promptly
-        }
-        lock_unpoisoned(self.pools[shard].lock()).push(PooledLeg {
-            stream,
-            since: Instant::now(),
-        });
+/// Returns a healthy leg to its shard's pool for the next session.
+fn release_leg(rt: &Rt, shard: usize, leg: Link) {
+    if rt.draining() {
+        return; // dropping it closes the shard conn promptly
     }
+    lock_unpoisoned(rt.tier.pools[shard].lock()).push(PooledLeg {
+        leg,
+        since: Instant::now(),
+    });
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -309,65 +262,20 @@ enum RelayState {
 }
 
 struct Relay {
-    client: TcpStream,
-    conn_id: u64,
+    /// The client: its input is frame-parsed for `Route` boundaries.
+    link: Link,
     state: RelayState,
-    /// Shard leg for the active session (`None` between sessions).
-    leg: Option<TcpStream>,
-    /// client → router staging, frame-parsed for `Route` boundaries.
-    cbuf: Vec<u8>,
-    cpos: usize,
-    /// router → shard pending output.
-    sout: Vec<u8>,
-    sout_pos: usize,
-    /// shard → router staging, frame-parsed for `ByeAck`.
-    sbuf: Vec<u8>,
-    spos: usize,
-    /// router → client pending output.
-    cout: Vec<u8>,
-    cout_pos: usize,
-    frames_in: u64,
-    frames_out: u64,
+    /// Shard leg for the active session (`None` between sessions): its
+    /// output is the router → shard backlog, its input is frame-parsed
+    /// for `ByeAck`. Its traffic also stamps the client link's
+    /// timestamps, so the idle and write timeouts see both directions.
+    leg: Option<Link>,
     clean: bool,
-    client_eof: bool,
-    drain_notified: bool,
-    last_read: Instant,
-    last_write_progress: Instant,
 }
 
 impl Relay {
-    fn new(client: TcpStream, conn_id: u64) -> Self {
-        let now = Instant::now();
-        Relay {
-            client,
-            conn_id,
-            state: RelayState::AwaitRoute,
-            leg: None,
-            cbuf: Vec::new(),
-            cpos: 0,
-            sout: Vec::new(),
-            sout_pos: 0,
-            sbuf: Vec::new(),
-            spos: 0,
-            cout: Vec::new(),
-            cout_pos: 0,
-            frames_in: 0,
-            frames_out: 0,
-            clean: true,
-            client_eof: false,
-            drain_notified: false,
-            last_read: now,
-            last_write_progress: now,
-        }
-    }
-
-    fn send_client(&mut self, frame: &Frame) {
-        encode_frame(frame, &mut self.cout);
-        self.frames_out += 1;
-    }
-
     fn fail(&mut self, code: u16, message: &str) {
-        self.send_client(&Frame::Error {
+        self.link.send(&Frame::Error {
             code,
             message: message.to_string(),
         });
@@ -378,100 +286,19 @@ impl Relay {
     /// Drops the shard leg (if any) without pooling it.
     fn drop_leg(&mut self) {
         if let Some(leg) = self.leg.take() {
-            let _ = leg.shutdown(std::net::Shutdown::Both);
+            let _ = leg.stream.shutdown(std::net::Shutdown::Both);
         }
-        self.sout.clear();
-        self.sout_pos = 0;
-        self.sbuf.clear();
-        self.spos = 0;
-    }
-}
-
-enum Service {
-    Keep { progress: bool },
-    Close,
-}
-
-/// Drains `buf[*pos..]` into `stream` as far as the socket accepts.
-/// Returns `None` when the connection is dead, otherwise whether any
-/// bytes moved.
-fn pump_out(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-    pos: &mut usize,
-    mark: &mut Instant,
-    now: Instant,
-) -> Option<bool> {
-    let mut progress = false;
-    while *pos < buf.len() {
-        match stream.write(&buf[*pos..]) {
-            Ok(0) => return None,
-            Ok(n) => {
-                *pos += n;
-                *mark = now;
-                progress = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return None,
-        }
-    }
-    if *pos == buf.len() && *pos > 0 {
-        buf.clear();
-        *pos = 0;
-    }
-    Some(progress)
-}
-
-/// Pulls from `stream` into `buf` until `cap` buffered bytes or the
-/// socket runs dry. Returns `None` on a dead connection, otherwise
-/// `(progress, eof)`.
-fn pump_in(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-    pos: usize,
-    cap: usize,
-    now: Instant,
-    mark: &mut Instant,
-) -> Option<(bool, bool)> {
-    let mut scratch = [0u8; 16 * 1024];
-    let mut progress = false;
-    while buf.len() - pos < cap {
-        match stream.read(&mut scratch) {
-            Ok(0) => return Some((progress, true)),
-            Ok(n) => {
-                buf.extend_from_slice(&scratch[..n]);
-                *mark = now;
-                progress = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return None,
-        }
-    }
-    Some((progress, false))
-}
-
-/// Compacts a staging buffer once consumed (or once the dead prefix
-/// grows past 64 KiB).
-fn compact(buf: &mut Vec<u8>, pos: &mut usize) {
-    if *pos == buf.len() {
-        buf.clear();
-        *pos = 0;
-    } else if *pos > 64 * 1024 {
-        buf.drain(..*pos);
-        *pos = 0;
     }
 }
 
 /// The shard leg died mid-session: tell the client, account the
 /// error, close.
-fn shard_lost(relay: &mut Relay, shared: &Shared) {
+fn shard_lost(relay: &mut Relay, rt: &Rt) {
     relay.drop_leg();
     // relaxed: monotonic counter; published by the Release decrement
-    // of live_conns at relay close.
-    shared.relay_errors.fetch_add(1, Ordering::Relaxed);
-    shared.count("router.errors", 1);
+    // of the live count at relay close.
+    rt.tier.relay_errors.fetch_add(1, Ordering::Relaxed);
+    rt.count("router.errors", 1);
     relay.fail(
         codes::SHARD_UNAVAILABLE,
         "shard connection lost mid-session",
@@ -483,16 +310,17 @@ fn shard_lost(relay: &mut Relay, shared: &Shared) {
 /// reusing a leg) and answers `Routed`. In `Active`, whole frames
 /// forward verbatim — except the *next* `Route`, which marks a session
 /// boundary and stays staged until `ByeAck` detaches the current leg.
-fn relay_client_frames(relay: &mut Relay, shared: &Shared) -> bool {
+fn relay_client_frames(relay: &mut Relay, rt: &Rt) -> bool {
+    let t = &rt.tier;
     let mut progress = false;
     loop {
         match relay.state {
             RelayState::AwaitRoute => {
-                let frame = match decode_frame(&relay.cbuf[relay.cpos..]) {
+                let frame = match decode_frame(relay.link.pending()) {
                     Ok(None) => break,
                     Ok(Some((frame, used))) => {
-                        relay.cpos += used;
-                        relay.frames_in += 1;
+                        relay.link.rpos += used;
+                        relay.link.frames_in += 1;
                         frame
                     }
                     Err(err) => {
@@ -504,36 +332,36 @@ fn relay_client_frames(relay: &mut Relay, shared: &Shared) -> bool {
                     relay.fail(codes::BAD_STATE, "expected Route before session frames");
                     break;
                 };
-                let Some(idx) = rendezvous_shard(key, &shared.names) else {
+                let Some(idx) = rendezvous_shard(key, &t.names) else {
                     relay.fail(codes::SHARD_UNAVAILABLE, "router has no shards");
                     break;
                 };
-                match shared.acquire_leg(idx) {
+                match acquire_leg(rt, idx) {
                     Ok(leg) => relay.leg = Some(leg),
                     Err(e) => {
                         // relaxed: monotonic counter; published by the
-                        // Release decrement of live_conns at close.
-                        shared.relay_errors.fetch_add(1, Ordering::Relaxed);
-                        shared.count("router.errors", 1);
+                        // Release decrement of the live count at close.
+                        t.relay_errors.fetch_add(1, Ordering::Relaxed);
+                        rt.count("router.errors", 1);
                         relay.fail(
                             codes::SHARD_UNAVAILABLE,
-                            &format!("shard `{}` unreachable: {e}", shared.names[idx]),
+                            &format!("shard `{}` unreachable: {e}", t.names[idx]),
                         );
                         break;
                     }
                 }
                 relay.state = RelayState::Active(idx);
                 // relaxed: monotonic counter; published by the Release
-                // decrement of live_conns at relay close.
-                shared.routed.fetch_add(1, Ordering::Relaxed);
-                shared.count("router.routed", 1);
-                shared.emit(EventData::ShardRouted {
-                    conn: relay.conn_id,
+                // decrement of the live count at relay close.
+                t.routed.fetch_add(1, Ordering::Relaxed);
+                rt.count("router.routed", 1);
+                rt.emit(EventData::ShardRouted {
+                    conn: relay.link.conn_id,
                     key,
-                    shard: shared.names[idx].clone(),
+                    shard: t.names[idx].clone(),
                 });
-                let name = shared.names[idx].clone();
-                relay.send_client(&Frame::Routed {
+                let name = t.names[idx].clone();
+                relay.link.send(&Frame::Routed {
                     shard: u32::try_from(idx).unwrap_or(u32::MAX),
                     name,
                 });
@@ -543,10 +371,13 @@ fn relay_client_frames(relay: &mut Relay, shared: &Shared) -> bool {
                 // Forward whole frames without decoding payloads; stop
                 // at a session boundary (the next Route) or when the
                 // shard-bound buffer is full (backpressure).
-                if relay.sout.len() - relay.sout_pos >= shared.cfg.relay_buf_cap {
+                let Some(leg) = relay.leg.as_mut() else {
+                    break;
+                };
+                if leg.unsent() >= t.cfg.relay_buf_cap {
                     break;
                 }
-                let pending = &relay.cbuf[relay.cpos..];
+                let pending = relay.link.pending();
                 if pending.len() >= 4 {
                     let len = u32::from_le_bytes([pending[0], pending[1], pending[2], pending[3]]);
                     if len == 0 || len > MAX_FRAME_LEN {
@@ -562,11 +393,11 @@ fn relay_client_frames(relay: &mut Relay, shared: &Shared) -> bool {
                             u32::from_le_bytes([pending[0], pending[1], pending[2], pending[3]])
                                 as usize;
                         let total = 4 + len;
-                        relay
-                            .sout
-                            .extend_from_slice(&relay.cbuf[relay.cpos..relay.cpos + total]);
-                        relay.cpos += total;
-                        relay.frames_in += 1;
+                        leg.wbuf.extend_from_slice(
+                            &relay.link.rbuf[relay.link.rpos..relay.link.rpos + total],
+                        );
+                        relay.link.rpos += total;
+                        relay.link.frames_in += 1;
                         progress = true;
                     }
                 }
@@ -574,7 +405,7 @@ fn relay_client_frames(relay: &mut Relay, shared: &Shared) -> bool {
             RelayState::Closing => break,
         }
     }
-    compact(&mut relay.cbuf, &mut relay.cpos);
+    relay.link.compact();
     progress
 }
 
@@ -582,347 +413,200 @@ fn relay_client_frames(relay: &mut Relay, shared: &Shared) -> bool {
 /// `ByeAck`: that ends the session, so the leg detaches back to the
 /// shard's pool (when nothing is left in flight on it) and the relay
 /// returns to `AwaitRoute` — unblocking any staged next `Route`.
-fn relay_shard_frames(relay: &mut Relay, shared: &Shared) -> bool {
+fn relay_shard_frames(relay: &mut Relay, rt: &Rt) -> bool {
     let mut progress = false;
     while let RelayState::Active(idx) = relay.state {
-        if relay.cout.len() - relay.cout_pos >= shared.cfg.relay_buf_cap {
+        if relay.link.unsent() >= rt.tier.cfg.relay_buf_cap {
             break; // client isn't keeping up; stop pulling decisions
         }
-        let pending = &relay.sbuf[relay.spos..];
-        let (is_byeack, total) = match decode_frame(pending) {
+        let Some(leg) = relay.leg.as_mut() else {
+            break;
+        };
+        let (is_byeack, total) = match decode_frame(leg.pending()) {
             Ok(None) => break,
             Ok(Some((frame, used))) => (matches!(frame, Frame::ByeAck { .. }), used),
             Err(_) => {
                 // The shard broke framing — treat the leg as lost.
-                shard_lost(relay, shared);
+                shard_lost(relay, rt);
                 return true;
             }
         };
         relay
-            .cout
-            .extend_from_slice(&relay.sbuf[relay.spos..relay.spos + total]);
-        relay.spos += total;
-        relay.frames_out += 1;
+            .link
+            .wbuf
+            .extend_from_slice(&leg.rbuf[leg.rpos..leg.rpos + total]);
+        leg.rpos += total;
+        relay.link.frames_out += 1;
         progress = true;
         if is_byeack {
             // Session over. Pool the leg only when it is fully quiet:
             // nothing pending toward the shard and nothing buffered
             // after the ByeAck.
-            let quiet = relay.sout.len() == relay.sout_pos && relay.spos == relay.sbuf.len();
-            if quiet {
+            if leg.unsent() == 0 && leg.pending().is_empty() {
+                leg.compact();
                 if let Some(leg) = relay.leg.take() {
-                    shared.release_leg(idx, leg);
+                    release_leg(rt, idx, leg);
                 }
-                relay.sout.clear();
-                relay.sout_pos = 0;
-                relay.sbuf.clear();
-                relay.spos = 0;
             } else {
                 relay.drop_leg();
             }
             relay.state = RelayState::AwaitRoute;
         }
     }
-    compact(&mut relay.sbuf, &mut relay.spos);
+    if let Some(leg) = relay.leg.as_mut() {
+        leg.compact();
+    }
     progress
 }
 
-/// One service pass over a relay. Returns whether to keep it.
-fn service(relay: &mut Relay, shared: &Shared) -> Service {
-    let mut progress = false;
-    let now = Instant::now();
-
-    // 1. Flush both pending outputs from the previous pass.
-    match pump_out(
-        &mut relay.client,
-        &mut relay.cout,
-        &mut relay.cout_pos,
-        &mut relay.last_write_progress,
-        now,
-    ) {
-        None => return Service::Close,
-        Some(p) => progress |= p,
-    }
-    if let Some(leg) = relay.leg.as_mut() {
-        match pump_out(
-            leg,
-            &mut relay.sout,
-            &mut relay.sout_pos,
-            &mut relay.last_write_progress,
-            now,
-        ) {
-            None => {
-                shard_lost(relay, shared);
-                progress = true;
-            }
-            Some(p) => progress |= p,
-        }
-    }
-
-    // 2. A closing relay lives only until its client output flushes.
-    if relay.state == RelayState::Closing {
-        if relay.cout.is_empty() {
-            return Service::Close;
-        }
-        if now.duration_since(relay.last_write_progress) > shared.cfg.write_timeout {
-            return Service::Close;
-        }
-        return Service::Keep { progress };
-    }
-
-    // 3. Drain notice (once) when shutdown begins.
-    if shared.draining() {
-        if !relay.drain_notified {
-            relay.drain_notified = true;
-            relay.send_client(&Frame::GoingAway {
-                reason: "router is shutting down".to_string(),
-            });
+/// Flushes both pending outputs: toward the client (`None` when the
+/// client is gone) and toward the shard (a dead leg is a lost shard).
+fn flush(relay: &mut Relay, rt: &Rt, now: Instant) -> Option<bool> {
+    let mut progress = relay.link.pump_out(now)?;
+    match relay.leg.as_mut().map(|leg| leg.pump_out(now)) {
+        Some(None) => {
+            shard_lost(relay, rt);
             progress = true;
         }
-        let deadline = shared.drain_deadline_at.lock().ok().and_then(|d| *d);
-        if deadline.is_some_and(|d| now >= d) {
+        Some(Some(true)) => {
+            relay.link.last_write_progress = now;
+            progress = true;
+        }
+        Some(Some(false)) | None => {}
+    }
+    Some(progress)
+}
+
+impl Tier for RouterTier {
+    type Conn = Relay;
+    type Slots = ();
+    const NAME: &'static str = "router";
+    const GOING_AWAY: &'static str = "router is shutting down";
+    const CAP_REFUSAL: &'static str = "connection cap reached";
+
+    fn open(link: Link) -> Relay {
+        Relay {
+            link,
+            state: RelayState::AwaitRoute,
+            leg: None,
+            clean: true,
+        }
+    }
+
+    /// One service pass over a relay. Returns whether to keep it.
+    fn service(rt: &Rt, relay: &mut Relay) -> Service {
+        let cfg = &rt.tier.cfg;
+        let cap = cfg.relay_buf_cap;
+        let mut progress = false;
+        let now = Instant::now();
+
+        // 1. Flush both pending outputs from the previous pass.
+        match flush(relay, rt, now) {
+            None => return Service::Close,
+            Some(p) => progress |= p,
+        }
+
+        // 2. A closing relay lives only until its client output flushes.
+        if relay.state == RelayState::Closing {
+            if relay.link.wbuf.is_empty() {
+                return Service::Close;
+            }
+            if now.duration_since(relay.link.last_write_progress) > cfg.write_timeout {
+                return Service::Close;
+            }
+            return Service::Keep { progress };
+        }
+
+        // 3. Drain notice (once) when shutdown begins; force-close at the
+        // drain deadline.
+        progress |= rt.notify_drain(&mut relay.link);
+        if rt.drain_expired(now) {
             relay.clean = false;
             return Service::Close;
         }
-    }
 
-    // 4. Pull client bytes, bounded by the staging cap *and* the
-    // shard-bound backlog so a stalled shard stops client reads too.
-    if !relay.client_eof && relay.sout.len() - relay.sout_pos < shared.cfg.relay_buf_cap {
-        match pump_in(
-            &mut relay.client,
-            &mut relay.cbuf,
-            relay.cpos,
-            shared.cfg.relay_buf_cap,
-            now,
-            &mut relay.last_read,
-        ) {
+        // 4. Pull client bytes, bounded by the staging cap *and* the
+        // shard-bound backlog so a stalled shard stops client reads too.
+        let shard_backlog = relay.leg.as_ref().map_or(0, Link::unsent);
+        if !relay.link.eof && shard_backlog < cap {
+            match relay.link.pump_in(cap, now) {
+                None => return Service::Close,
+                Some(p) => progress |= p,
+            }
+        }
+
+        // 5. Pull shard bytes, bounded by the client-bound backlog.
+        if relay.link.unsent() < cap {
+            match relay
+                .leg
+                .as_mut()
+                .map(|leg| (leg.pump_in(cap, now), leg.eof))
+            {
+                Some((None, _) | (_, true)) => {
+                    shard_lost(relay, rt);
+                    progress = true;
+                }
+                Some((Some(true), false)) => {
+                    relay.link.last_read = now;
+                    progress = true;
+                }
+                _ => {}
+            }
+        }
+
+        // 6. Relay frames both directions until neither makes progress —
+        // a ByeAck from the shard can unblock a staged Route from the
+        // client within the same pass (corked cross-session streaming).
+        loop {
+            let moved = relay_client_frames(relay, rt) | relay_shard_frames(relay, rt);
+            progress |= moved;
+            if !moved {
+                break;
+            }
+        }
+
+        // 7. Flush what this pass produced — same coalesced-write contract
+        // as the serve tier's end-of-pass flush.
+        match flush(relay, rt, now) {
             None => return Service::Close,
-            Some((p, eof)) => {
-                progress |= p;
-                relay.client_eof |= eof;
-            }
-        }
-    }
-
-    // 5. Pull shard bytes, bounded by the client-bound backlog.
-    if relay.cout.len() - relay.cout_pos < shared.cfg.relay_buf_cap {
-        let pulled = relay.leg.as_mut().map(|leg| {
-            pump_in(
-                leg,
-                &mut relay.sbuf,
-                relay.spos,
-                shared.cfg.relay_buf_cap,
-                now,
-                &mut relay.last_read,
-            )
-        });
-        match pulled {
-            Some(None | Some((_, true))) => {
-                shard_lost(relay, shared);
-                progress = true;
-            }
-            Some(Some((p, false))) => progress |= p,
-            None => {}
-        }
-    }
-
-    // 6. Relay frames both directions until neither makes progress —
-    // a ByeAck from the shard can unblock a staged Route from the
-    // client within the same pass (corked cross-session streaming).
-    loop {
-        let moved = relay_client_frames(relay, shared) | relay_shard_frames(relay, shared);
-        progress |= moved;
-        if !moved {
-            break;
-        }
-    }
-
-    // 7. Flush what this pass produced — same coalesced-write contract
-    // as the serve tier's end-of-pass flush.
-    match pump_out(
-        &mut relay.client,
-        &mut relay.cout,
-        &mut relay.cout_pos,
-        &mut relay.last_write_progress,
-        now,
-    ) {
-        None => return Service::Close,
-        Some(p) => progress |= p,
-    }
-    if let Some(leg) = relay.leg.as_mut() {
-        match pump_out(
-            leg,
-            &mut relay.sout,
-            &mut relay.sout_pos,
-            &mut relay.last_write_progress,
-            now,
-        ) {
-            None => {
-                shard_lost(relay, shared);
-                progress = true;
-            }
             Some(p) => progress |= p,
         }
-    }
 
-    // 8. Client EOF: once everything staged has been relayed and the
-    // shard owes nothing more (we are between sessions), close.
-    if relay.client_eof
-        && !has_complete_frame(&relay.cbuf[relay.cpos..])
-        && relay.state == RelayState::AwaitRoute
-        && relay.cout.is_empty()
-    {
-        return Service::Close;
-    }
-
-    // 9. Idle timeout.
-    if relay.state != RelayState::Closing
-        && now.duration_since(relay.last_read) > shared.cfg.idle_timeout
-    {
-        relay.fail(codes::IDLE_TIMEOUT, "no frames within the idle timeout");
-    }
-
-    Service::Keep { progress }
-}
-
-fn finalize(relay: &mut Relay, shared: &Shared) {
-    relay.drop_leg();
-    if !relay.clean {
-        // relaxed: monotonic counter; published by the Release
-        // decrement of live_conns below.
-        shared.relay_errors.fetch_add(1, Ordering::Relaxed);
-    }
-    shared.emit(EventData::ConnClosed {
-        conn: relay.conn_id,
-        frames_in: relay.frames_in,
-        frames_out: relay.frames_out,
-    });
-    // relaxed: admission gate only; an off-by-one race at the cap is
-    // benign (one connection briefly over/under the limit).
-    shared.active_conns.fetch_sub(1, Ordering::Relaxed);
-    // Release pairs with the Acquire load in worker_loop's drain exit,
-    // same contract as the serve tier.
-    shared.live_conns.fetch_sub(1, Ordering::Release);
-    let _ = relay.client.shutdown(std::net::Shutdown::Both);
-}
-
-fn worker_loop(shared: &Arc<Shared>, deques: &[Arc<Mutex<VecDeque<Relay>>>], me: usize) {
-    let own = &deques[me];
-    let mut idle = Backoff::new();
-    loop {
+        // 8. Client EOF: once everything staged has been relayed and the
+        // shard owes nothing more (we are between sessions), close.
+        if relay.link.eof
+            && !has_complete_frame(relay.link.pending())
+            && relay.state == RelayState::AwaitRoute
+            && relay.link.wbuf.is_empty()
         {
-            let mut injector = lock_unpoisoned(shared.injector.lock());
-            if !injector.is_empty() {
-                let mut q = lock_unpoisoned(own.lock());
-                q.append(&mut injector);
-            }
+            return Service::Close;
         }
-        if lock_unpoisoned(own.lock()).is_empty() {
-            let victim = deques
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != me)
-                .max_by_key(|(_, d)| d.lock().map(|q| q.len()).unwrap_or(0));
-            if let Some((_, victim)) = victim {
-                let stolen = {
-                    let mut q = lock_unpoisoned(victim.lock());
-                    let keep = q.len() / 2;
-                    q.split_off(keep)
-                };
-                if !stolen.is_empty() {
-                    lock_unpoisoned(own.lock()).extend(stolen);
-                }
-            }
+
+        // 9. Idle timeout.
+        if relay.state != RelayState::Closing
+            && now.duration_since(relay.link.last_read) > cfg.idle_timeout
+        {
+            relay.fail(codes::IDLE_TIMEOUT, "no frames within the idle timeout");
         }
-        let batch = lock_unpoisoned(own.lock()).len();
-        if batch == 0 {
-            if shared.draining() && shared.live_conns.load(Ordering::Acquire) == 0 {
-                return;
-            }
-            idle.wait();
-            continue;
+
+        Service::Keep { progress }
+    }
+
+    fn finalize<'c>(rt: &Rt, relay: &'c mut Relay) -> &'c mut Link {
+        relay.drop_leg();
+        if !relay.clean {
+            // relaxed: monotonic counter; published by the runtime's
+            // Release decrement of the live count right after.
+            rt.tier.relay_errors.fetch_add(1, Ordering::Relaxed);
         }
-        let mut any_progress = false;
-        for _ in 0..batch {
-            let Some(mut relay) = lock_unpoisoned(own.lock()).pop_front() else {
-                break; // a thief got there first
-            };
-            match service(&mut relay, shared) {
-                Service::Keep { progress } => {
-                    any_progress |= progress;
-                    lock_unpoisoned(own.lock()).push_back(relay);
-                }
-                Service::Close => {
-                    finalize(&mut relay, shared);
-                    any_progress = true;
-                }
-            }
-        }
-        if any_progress {
-            idle.reset();
-        } else {
-            idle.wait();
-        }
+        &mut relay.link
     }
 }
 
-fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    let mut idle = Backoff::new();
-    loop {
-        if shared.draining() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                idle.reset();
-                // relaxed: id allocation only needs atomicity, not ordering.
-                let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed) + 1;
-                // relaxed: monotonic counter; published by the Release
-                // decrement of live_conns when the relay retires.
-                shared.conns.fetch_add(1, Ordering::Relaxed);
-                shared.emit(EventData::ConnAccepted { conn: conn_id });
-                shared.count("router.conns", 1);
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                let mut relay = Relay::new(stream, conn_id);
-                // relaxed: admission gate only; a stale read briefly
-                // over- or under-admits by one connection (benign).
-                if shared.active_conns.load(Ordering::Relaxed) >= shared.cfg.max_conns {
-                    relay.fail(codes::SERVER_FULL, "connection cap reached");
-                    let _ = relay.client.set_nonblocking(false);
-                    let _ = relay
-                        .client
-                        .set_write_timeout(Some(Duration::from_millis(100)));
-                    let _ = relay.client.write_all(&relay.cout);
-                    shared.emit(EventData::ConnClosed {
-                        conn: conn_id,
-                        frames_in: 0,
-                        frames_out: 1,
-                    });
-                    continue;
-                }
-                // relaxed: admission gate only; see the cap check above.
-                shared.active_conns.fetch_add(1, Ordering::Relaxed);
-                shared.live_conns.fetch_add(1, Ordering::AcqRel);
-                lock_unpoisoned(shared.injector.lock()).push_back(relay);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => idle.wait(),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => idle.wait(),
-        }
-    }
-}
-
-/// A bound, running router. Dropping the handle shuts it down
-/// gracefully (same as [`Router::shutdown`]).
+/// A bound, running router. Dropping it drains gracefully (same as
+/// [`Router::shutdown`]).
 pub struct Router {
-    shared: Arc<Shared>,
-    addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    daemon: Daemon<RouterTier>,
 }
 
 impl Router {
@@ -949,143 +633,85 @@ impl Router {
                 "duplicate shard names",
             ));
         }
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let workers = cfg.workers.max(1);
-        let names = shards.iter().map(|s| s.name.clone()).collect();
-        let pools = shards.iter().map(|_| Mutex::new(Vec::new())).collect();
-        let shared = Arc::new(Shared {
+        let (workers, cap, deadline) = (cfg.workers, cfg.max_conns, cfg.drain_deadline);
+        let tier = RouterTier {
             cfg,
+            names: shards.iter().map(|s| s.name.clone()).collect(),
+            pools: shards.iter().map(|_| Mutex::new(Vec::new())).collect(),
             shards,
-            names,
-            state: AtomicU8::new(STATE_RUNNING),
-            start: Instant::now(),
-            telemetry: Mutex::new(Telemetry::enabled()),
-            injector: Mutex::new(VecDeque::new()),
-            pools,
-            live_conns: AtomicUsize::new(0),
-            active_conns: AtomicUsize::new(0),
-            next_conn: AtomicU64::new(0),
-            conns: AtomicU64::new(0),
             routed: AtomicU64::new(0),
             legs_opened: AtomicU64::new(0),
             legs_reused: AtomicU64::new(0),
             relay_errors: AtomicU64::new(0),
-            drain_deadline_at: Mutex::new(None),
-        });
-        let deques: Vec<Arc<Mutex<VecDeque<Relay>>>> = (0..workers)
-            .map(|_| Arc::new(Mutex::new(VecDeque::new())))
-            .collect();
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("router-accept".to_string())
-                .spawn(move || acceptor_loop(&shared, &listener))?
         };
-        let workers = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let deques = deques.clone();
-                std::thread::Builder::new()
-                    .name(format!("router-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &deques, i))
-            })
-            .collect::<std::io::Result<Vec<_>>>()?;
         Ok(Router {
-            shared,
-            addr,
-            acceptor: Some(acceptor),
-            workers,
+            daemon: Daemon::bind(addr, tier, workers, cap, deadline)?,
         })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.daemon.local_addr()
     }
 
     /// The shard names in configuration order.
     pub fn shard_names(&self) -> &[String] {
-        &self.shared.names
+        &self.daemon.rt().tier.names
     }
 
     /// A point-in-time accounting snapshot.
     pub fn stats(&self) -> RouterStats {
-        self.shared.stats()
+        // Advisory snapshot, same contract as ServeStats: exact after
+        // drain joins the workers, cross-counter skew tolerated while
+        // relays are in flight.
+        let rt = self.daemon.rt();
+        let t = &rt.tier;
+        RouterStats {
+            conns: rt.accepted.load(Ordering::Relaxed), // relaxed: advisory snapshot (see above)
+            routed_sessions: t.routed.load(Ordering::Relaxed), // relaxed: advisory snapshot
+            legs_opened: t.legs_opened.load(Ordering::Relaxed), // relaxed: advisory snapshot
+            legs_reused: t.legs_reused.load(Ordering::Relaxed), // relaxed: advisory snapshot
+            relay_errors: t.relay_errors.load(Ordering::Relaxed), // relaxed: advisory snapshot
+            active_conns: rt.active.load(Ordering::Relaxed) as u64, // relaxed: advisory snapshot
+        }
     }
 
-    /// Builds the router's run manifest (`kind: "router"`).
+    /// Builds the router's run manifest (`kind: "router"`). Call
+    /// [`Router::drain`] first for a manifest that covers the whole
+    /// run, drain included.
     pub fn manifest(&self, name: &str) -> RunManifest {
-        let shared = &self.shared;
-        let (metrics, event_counts) = match shared.telemetry.lock() {
-            Ok(tel) => (tel.metrics().rollups(), tel.event_counts()),
-            Err(_) => (BTreeMap::new(), BTreeMap::new()),
-        };
-        let mut tags = BTreeMap::new();
-        tags.insert("workers".to_string(), shared.cfg.workers.to_string());
-        tags.insert("shards".to_string(), shared.names.join(","));
-        RunManifest {
-            kind: "router".to_string(),
-            name: name.to_string(),
-            policy: "relay".to_string(),
-            profile: "multi".to_string(),
-            seed: 0,
-            duration_us: shared.t_us(),
-            git: None,
-            created_unix_ms: None,
-            wall_ms: None,
-            tags,
-            metrics,
-            event_counts,
-        }
+        let rt = self.daemon.rt();
+        let tags = BTreeMap::from([
+            ("workers".to_string(), rt.tier.cfg.workers.to_string()),
+            ("shards".to_string(), rt.tier.names.join(",")),
+        ]);
+        rt.manifest(name, "relay", tags)
     }
 
     /// The router's telemetry event stream as JSONL.
     pub fn events_jsonl(&self) -> String {
-        self.shared
-            .telemetry
-            .lock()
-            .map(|tel| tel.events_jsonl())
-            .unwrap_or_default()
+        self.daemon.rt().events_jsonl()
     }
 
-    /// Graceful shutdown: stop accepting, tell every relay
+    /// Graceful drain: stop accepting, tell every relay
     /// [`Frame::GoingAway`], keep relaying until each client finishes
     /// or the drain deadline passes, then join all threads, close
-    /// pooled shard legs, and return the final stats.
-    pub fn shutdown(mut self) -> RouterStats {
-        self.begin_drain_and_join();
-        self.shared.stats()
-    }
-
-    fn begin_drain_and_join(&mut self) {
-        if self.shared.state.swap(STATE_DRAINING, Ordering::AcqRel) == STATE_RUNNING {
-            if let Ok(mut d) = self.shared.drain_deadline_at.lock() {
-                *d = Some(Instant::now() + self.shared.cfg.drain_deadline);
-            }
-            let active = self.shared.live_conns.load(Ordering::Acquire);
-            self.shared.emit(EventData::ServeShutdown {
-                active_sessions: active as u64,
-            });
-        }
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        // Dropping pooled legs closes the idle shard connections so
-        // the shards themselves can drain promptly.
-        for pool in &self.shared.pools {
+    /// pooled shard legs, and return the final stats. Idempotent; the
+    /// handle stays readable afterwards, so the manifest can be built
+    /// from the drained router.
+    pub fn drain(&mut self) -> RouterStats {
+        self.daemon.drain();
+        // Dropping pooled legs closes the idle shard connections so the
+        // shards themselves can drain promptly.
+        for pool in &self.daemon.rt().tier.pools {
             lock_unpoisoned(pool.lock()).clear();
         }
+        self.stats()
     }
-}
 
-impl Drop for Router {
-    fn drop(&mut self) {
-        self.begin_drain_and_join();
+    /// [`Router::drain`], consuming the handle.
+    pub fn shutdown(mut self) -> RouterStats {
+        self.drain()
     }
 }
 

@@ -1,15 +1,14 @@
 //! The `mobicore-serve` daemon: a TCP policy-decision server
 //! multiplexing many device sessions over a fixed worker pool.
 //!
-//! Threading model (the `sweep` executor's work-stealing design, lifted
-//! from job granularity to session granularity): one acceptor thread
-//! pushes new connections into an injector queue; each of N workers
-//! owns a deque of sessions and repeatedly *services* them — flush
-//! pending writes, read available bytes, decode up to the per-session
-//! frame budget, run the session's policy, queue responses. An idle
-//! worker steals the back half of a victim's deque. A session is only
-//! ever held by one worker at a time, so per-session frame ordering is
-//! free and no decision can be reordered or dropped by construction.
+//! The acceptor, the work-stealing worker pool and drain are the
+//! shared daemon runtime's (`daemon.rs`); this module is the serve
+//! tier plugged into it. Each service pass over a session flushes
+//! pending writes, reads available bytes, decodes up to the
+//! per-session frame budget, runs the session's policy and queues the
+//! responses. A session is only ever held by one worker at a time, so
+//! per-session frame ordering is free and no decision can be reordered
+//! or dropped by construction.
 //!
 //! Backpressure is two-layered: a session that pipelines more complete
 //! frames than its budget gets a [`Frame::Backpressure`] notice on the
@@ -22,26 +21,18 @@
 //! Graceful shutdown flips the daemon into drain: the acceptor stops,
 //! every in-flight session is told [`Frame::GoingAway`], sessions that
 //! finish with Bye/ByeAck drain cleanly, and whatever is still open at
-//! the drain deadline is force-closed — so `shutdown()` returns within
-//! the configured deadline.
+//! the drain deadline is force-closed — so [`Server::drain`] returns
+//! within the configured deadline.
 
-use crate::poll::Backoff;
-use crate::protocol::{
-    codes, decode_frame, encode_frame, has_complete_frame, Frame, PROTOCOL_VERSION,
-};
+use crate::daemon::{Daemon, Link, Runtime, Service, Tier};
+use crate::protocol::{codes, decode_frame, has_complete_frame, Frame, PROTOCOL_VERSION};
 use crate::registry;
-use mobicore_analyze::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use mobicore_analyze::sync::{lock_unpoisoned, Arc, Mutex};
+use mobicore_analyze::sync::atomic::{AtomicU64, Ordering};
 use mobicore_sim::{CpuControl, CpuPolicy};
-use mobicore_telemetry::{CounterSlot, EventData, HistogramSlot, RunManifest, Telemetry};
-use std::collections::{BTreeMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::thread::JoinHandle;
+use mobicore_telemetry::{CounterSlot, EventData, HistogramSlot, RunManifest};
+use std::collections::BTreeMap;
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
-
-const STATE_RUNNING: u8 = 0;
-const STATE_DRAINING: u8 = 1;
 
 /// Tuning knobs of one daemon instance.
 #[derive(Debug, Clone)]
@@ -126,8 +117,8 @@ impl ServeConfig {
     }
 }
 
-/// Aggregate accounting returned by [`ServerHandle::stats`] and
-/// [`ServerHandle::shutdown`].
+/// Aggregate accounting returned by [`Server::stats`] and
+/// [`Server::shutdown`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeStats {
     /// Sessions that completed a handshake.
@@ -146,15 +137,8 @@ pub struct ServeStats {
     pub active_conns: u64,
 }
 
-/// The daemon's telemetry plus the slots of its per-decision metrics,
-/// under one lock so a decision updates all three metrics at once.
-struct ServeTelemetry {
-    tel: Telemetry,
-    /// Resolved on the first decision, so a server that served nothing
-    /// keeps the same manifest.
-    decision: Option<DecisionSlots>,
-}
-
+/// The slots of the per-decision metrics, kept under the telemetry
+/// lock so a decision updates all three metrics at once.
 #[derive(Clone, Copy)]
 struct DecisionSlots {
     decisions: CounterSlot,
@@ -162,15 +146,9 @@ struct DecisionSlots {
     decision_us: HistogramSlot,
 }
 
-struct Shared {
+/// The serve tier's shared state.
+struct ServeTier {
     cfg: ServeConfig,
-    state: AtomicU8,
-    start: Instant,
-    telemetry: Mutex<ServeTelemetry>,
-    injector: Mutex<VecDeque<Session>>,
-    live_sessions: AtomicUsize,
-    active_conns: AtomicUsize,
-    next_conn: AtomicU64,
     next_session: AtomicU64,
     sessions: AtomicU64,
     decisions: AtomicU64,
@@ -178,38 +156,14 @@ struct Shared {
     aborted: AtomicU64,
     backpressure: AtomicU64,
     protocol_errors: AtomicU64,
-    drain_deadline_at: Mutex<Option<Instant>>,
 }
 
-impl Shared {
-    fn draining(&self) -> bool {
-        self.state.load(Ordering::Acquire) == STATE_DRAINING
-    }
+type Rt = Runtime<ServeTier>;
 
-    fn t_us(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-
-    fn emit(&self, data: EventData) {
-        let t = self.t_us();
-        if let Ok(mut guard) = self.telemetry.lock() {
-            guard.tel.emit(t, data);
-        }
-    }
-
-    fn count(&self, name: &str, by: u64) {
-        if let Ok(mut guard) = self.telemetry.lock() {
-            guard.tel.count(name, by);
-        }
-    }
-
-    /// One served decision: `serve.decisions`, `serve.notes` and
-    /// `serve.decision_us` under a single lock, by slot.
-    fn record_decision(&self, notes: u64, service_us: f64) {
-        let Ok(mut guard) = self.telemetry.lock() else {
-            return;
-        };
-        let ServeTelemetry { tel, decision } = &mut *guard;
+/// One served decision: `serve.decisions`, `serve.notes` and
+/// `serve.decision_us` under a single lock, by slot.
+fn record_decision(rt: &Rt, notes: u64, service_us: f64) {
+    rt.with_telemetry(|tel, decision| {
         let Some(m) = tel.metrics_mut() else {
             return;
         };
@@ -221,26 +175,7 @@ impl Shared {
         m.inc_at(slots.decisions, 1);
         m.inc_at(slots.notes, notes);
         m.record_at(slots.decision_us, service_us);
-    }
-
-    fn stats(&self) -> ServeStats {
-        // A live snapshot is advisory by contract: each counter is
-        // internally consistent, cross-counter skew is acceptable
-        // while sessions are in flight. The *final* stats read in
-        // `begin_drain_and_join` is exact because every worker's
-        // Release decrement of `live_sessions` (and the join itself)
-        // happens-before it — model-checked in
-        // `mobicore_analyze::protocols::serve::check_drain_stats_exact`.
-        ServeStats {
-            sessions: self.sessions.load(Ordering::Relaxed), // relaxed: advisory snapshot (see above)
-            decisions: self.decisions.load(Ordering::Relaxed), // relaxed: advisory snapshot
-            drained_sessions: self.drained.load(Ordering::Relaxed), // relaxed: advisory snapshot
-            aborted_sessions: self.aborted.load(Ordering::Relaxed), // relaxed: advisory snapshot
-            backpressure_events: self.backpressure.load(Ordering::Relaxed), // relaxed: advisory snapshot
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed), // relaxed: advisory snapshot
-            active_conns: self.active_conns.load(Ordering::Relaxed) as u64, // relaxed: advisory snapshot
-        }
-    }
+    });
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -252,245 +187,173 @@ enum SessState {
 }
 
 struct Session {
-    stream: TcpStream,
-    conn_id: u64,
+    link: Link,
     session_id: u64,
     state: SessState,
-    rbuf: Vec<u8>,
-    rpos: usize,
-    wbuf: Vec<u8>,
-    wpos: usize,
     policy: Option<Box<dyn CpuPolicy + Send>>,
     ctl: CpuControl,
     decisions: u64,
-    frames_in: u64,
-    frames_out: u64,
     last_seq: Option<u64>,
     backpressured: bool,
-    eof: bool,
-    drain_notified: bool,
-    last_read: Instant,
-    last_write_progress: Instant,
 }
 
 impl Session {
-    fn new(stream: TcpStream, conn_id: u64) -> Self {
-        let now = Instant::now();
-        Session {
-            stream,
-            conn_id,
-            session_id: 0,
-            state: SessState::AwaitHello,
-            rbuf: Vec::new(),
-            rpos: 0,
-            wbuf: Vec::new(),
-            wpos: 0,
-            policy: None,
-            ctl: CpuControl::new(),
-            decisions: 0,
-            frames_in: 0,
-            frames_out: 0,
-            last_seq: None,
-            backpressured: false,
-            eof: false,
-            drain_notified: false,
-            last_read: now,
-            last_write_progress: now,
-        }
-    }
-
-    fn send(&mut self, frame: &Frame) {
-        encode_frame(frame, &mut self.wbuf);
-        self.frames_out += 1;
-    }
-
     fn fail(&mut self, code: u16, message: &str) {
-        self.send(&Frame::Error {
+        self.link.send(&Frame::Error {
             code,
             message: message.to_string(),
         });
         self.state = SessState::Closing;
     }
-
-    fn pending_input(&self) -> &[u8] {
-        &self.rbuf[self.rpos..]
-    }
 }
 
-enum Service {
-    Keep { progress: bool },
-    Close,
-}
+impl Tier for ServeTier {
+    type Conn = Session;
+    /// Resolved on the first decision, so a server that served nothing
+    /// keeps the same manifest.
+    type Slots = Option<DecisionSlots>;
+    const NAME: &'static str = "serve";
+    const GOING_AWAY: &'static str = "server is shutting down";
+    const CAP_REFUSAL: &'static str = "session cap reached";
 
-/// Writes as much pending output as the socket accepts in one
-/// coalesced burst. Returns `None` when the connection is dead,
-/// otherwise whether any bytes moved.
-fn flush_output(sess: &mut Session, now: Instant) -> Option<bool> {
-    let mut progress = false;
-    while sess.wpos < sess.wbuf.len() {
-        match sess.stream.write(&sess.wbuf[sess.wpos..]) {
-            Ok(0) => return None,
-            Ok(n) => {
-                sess.wpos += n;
-                sess.last_write_progress = now;
-                progress = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return None,
-        }
-    }
-    if sess.wpos == sess.wbuf.len() && sess.wpos > 0 {
-        sess.wbuf.clear();
-        sess.wpos = 0;
-    }
-    Some(progress)
-}
-
-/// One service pass over a session. Returns whether to keep it.
-fn service(sess: &mut Session, shared: &Shared) -> Service {
-    let mut progress = false;
-    let now = Instant::now();
-
-    // 1. Flush output left over from the previous pass.
-    match flush_output(sess, now) {
-        None => return Service::Close,
-        Some(p) => progress |= p,
-    }
-    if sess.wbuf.len() - sess.wpos > shared.cfg.write_buf_cap {
-        // Peer has stopped reading; don't balloon the buffer.
-        return Service::Close;
-    }
-
-    // 2. A closing session lives only until its output is flushed.
-    if sess.state == SessState::Closing {
-        if sess.wbuf.is_empty() {
-            return Service::Close;
-        }
-        if now.duration_since(sess.last_write_progress) > shared.cfg.write_timeout {
-            return Service::Close;
-        }
-        return Service::Keep { progress };
-    }
-
-    // 3. Drain notice (once) when shutdown begins.
-    if shared.draining() {
-        if !sess.drain_notified {
-            sess.drain_notified = true;
-            sess.send(&Frame::GoingAway {
-                reason: "server is shutting down".to_string(),
-            });
-            progress = true;
-        }
-        let deadline = shared.drain_deadline_at.lock().ok().and_then(|d| *d);
-        if deadline.is_some_and(|d| now >= d) {
-            return Service::Close;
+    fn open(link: Link) -> Session {
+        Session {
+            link,
+            session_id: 0,
+            state: SessState::AwaitHello,
+            policy: None,
+            ctl: CpuControl::new(),
+            decisions: 0,
+            last_seq: None,
+            backpressured: false,
         }
     }
 
-    // 4. Pull whatever the socket has, up to the buffer bound.
-    let mut scratch = [0u8; 16 * 1024];
-    while sess.rbuf.len() - sess.rpos < shared.cfg.read_buf_cap {
-        match sess.stream.read(&mut scratch) {
-            Ok(0) => {
-                sess.eof = true;
-                break;
-            }
-            Ok(n) => {
-                sess.rbuf.extend_from_slice(&scratch[..n]);
-                sess.last_read = now;
-                progress = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return Service::Close,
-        }
-    }
+    /// One service pass over a session. Returns whether to keep it.
+    fn service(rt: &Rt, sess: &mut Session) -> Service {
+        let cfg = &rt.tier.cfg;
+        let mut progress = false;
+        let now = Instant::now();
 
-    // 5. Decode and serve up to the session's frame budget.
-    let mut served = 0usize;
-    while served < shared.cfg.queue_budget && sess.state != SessState::Closing {
-        match decode_frame(sess.pending_input()) {
-            Ok(None) => break,
-            Ok(Some((frame, used))) => {
-                sess.rpos += used;
-                sess.frames_in += 1;
-                served += 1;
-                progress = true;
-                handle_frame(sess, shared, frame);
-            }
-            Err(err) => {
-                // relaxed: monotonic counter; published by the Release
-                // decrement of live_sessions when the session retires.
-                shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                shared.count("serve.protocol_errors", 1);
-                sess.fail(codes::MALFORMED, &err.to_string());
-            }
-        }
-    }
-    if sess.rpos == sess.rbuf.len() {
-        sess.rbuf.clear();
-        sess.rpos = 0;
-    } else if sess.rpos > 64 * 1024 {
-        sess.rbuf.drain(..sess.rpos);
-        sess.rpos = 0;
-    }
-
-    // 6. Rising-edge backpressure when the peer pipelines past the
-    // budget. Nothing is dropped — the surplus is served next pass.
-    if sess.state == SessState::Streaming {
-        if has_complete_frame(sess.pending_input()) {
-            if !sess.backpressured {
-                sess.backpressured = true;
-                let queued = count_complete_frames(sess.pending_input());
-                // relaxed: monotonic counter; published by the Release
-                // decrement of live_sessions when the session retires.
-                shared.backpressure.fetch_add(1, Ordering::Relaxed);
-                shared.count("serve.backpressure", 1);
-                shared.emit(EventData::Backpressure {
-                    session: sess.session_id,
-                    queued,
-                    limit: shared.cfg.queue_budget as u64,
-                });
-                sess.send(&Frame::Backpressure {
-                    queued: u32::try_from(queued).unwrap_or(u32::MAX),
-                    limit: u32::try_from(shared.cfg.queue_budget).unwrap_or(u32::MAX),
-                });
-            }
-        } else {
-            sess.backpressured = false;
-        }
-    }
-
-    // 7. Flush what this pass produced: every decision served in step
-    // 5 leaves in one coalesced write *now*, not at the top of the
-    // next pass (which may be a poll-sleep away). This flush point
-    // plus the client's corked submit batches is what amortizes
-    // syscalls across pipelined frames.
-    if sess.wpos < sess.wbuf.len() {
-        match flush_output(sess, now) {
+        // 1. Flush output left over from the previous pass.
+        match sess.link.pump_out(now) {
             None => return Service::Close,
             Some(p) => progress |= p,
         }
-    }
-
-    // 8. EOF once everything buffered has been served and flushed.
-    if sess.eof && !has_complete_frame(sess.pending_input()) {
-        if sess.wbuf.is_empty() {
+        if sess.link.unsent() > cfg.write_buf_cap {
+            // Peer has stopped reading; don't balloon the buffer.
             return Service::Close;
         }
-        sess.state = SessState::Closing;
-        return Service::Keep { progress };
+
+        // 2. A closing session lives only until its output is flushed.
+        if sess.state == SessState::Closing {
+            if sess.link.wbuf.is_empty() {
+                return Service::Close;
+            }
+            if now.duration_since(sess.link.last_write_progress) > cfg.write_timeout {
+                return Service::Close;
+            }
+            return Service::Keep { progress };
+        }
+
+        // 3. Drain notice (once) when shutdown begins; force-close at the
+        // drain deadline.
+        progress |= rt.notify_drain(&mut sess.link);
+        if rt.drain_expired(now) {
+            return Service::Close;
+        }
+
+        // 4. Pull whatever the socket has, up to the buffer bound.
+        match sess.link.pump_in(cfg.read_buf_cap, now) {
+            None => return Service::Close,
+            Some(p) => progress |= p,
+        }
+
+        // 5. Decode and serve up to the session's frame budget.
+        let mut served = 0usize;
+        while served < cfg.queue_budget && sess.state != SessState::Closing {
+            match decode_frame(sess.link.pending()) {
+                Ok(None) => break,
+                Ok(Some((frame, used))) => {
+                    sess.link.rpos += used;
+                    sess.link.frames_in += 1;
+                    served += 1;
+                    progress = true;
+                    handle_frame(sess, rt, frame);
+                }
+                Err(err) => {
+                    // relaxed: monotonic counter; published by the Release
+                    // decrement of the live count when the connection retires.
+                    rt.tier.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                    rt.count("serve.protocol_errors", 1);
+                    sess.fail(codes::MALFORMED, &err.to_string());
+                }
+            }
+        }
+        sess.link.compact();
+
+        // 6. Rising-edge backpressure when the peer pipelines past the
+        // budget. Nothing is dropped — the surplus is served next pass.
+        if sess.state == SessState::Streaming {
+            if has_complete_frame(sess.link.pending()) {
+                if !sess.backpressured {
+                    sess.backpressured = true;
+                    let queued = count_complete_frames(sess.link.pending());
+                    // relaxed: monotonic counter; published by the Release
+                    // decrement of the live count when the connection retires.
+                    rt.tier.backpressure.fetch_add(1, Ordering::Relaxed);
+                    rt.count("serve.backpressure", 1);
+                    rt.emit(EventData::Backpressure {
+                        session: sess.session_id,
+                        queued,
+                        limit: cfg.queue_budget as u64,
+                    });
+                    sess.link.send(&Frame::Backpressure {
+                        queued: u32::try_from(queued).unwrap_or(u32::MAX),
+                        limit: u32::try_from(cfg.queue_budget).unwrap_or(u32::MAX),
+                    });
+                }
+            } else {
+                sess.backpressured = false;
+            }
+        }
+
+        // 7. Flush what this pass produced: every decision served in step
+        // 5 leaves in one coalesced write *now*, not at the top of the
+        // next pass (which may be a poll-sleep away). This flush point
+        // plus the client's corked submit batches is what amortizes
+        // syscalls across pipelined frames.
+        if sess.link.unsent() > 0 {
+            match sess.link.pump_out(now) {
+                None => return Service::Close,
+                Some(p) => progress |= p,
+            }
+        }
+
+        // 8. EOF once everything buffered has been served and flushed.
+        if sess.link.eof && !has_complete_frame(sess.link.pending()) {
+            if sess.link.wbuf.is_empty() {
+                return Service::Close;
+            }
+            sess.state = SessState::Closing;
+            return Service::Keep { progress };
+        }
+
+        // 9. Idle timeout.
+        if sess.state != SessState::Closing
+            && now.duration_since(sess.link.last_read) > cfg.idle_timeout
+        {
+            sess.fail(codes::IDLE_TIMEOUT, "no frames within the idle timeout");
+        }
+
+        Service::Keep { progress }
     }
 
-    // 9. Idle timeout.
-    if sess.state != SessState::Closing
-        && now.duration_since(sess.last_read) > shared.cfg.idle_timeout
-    {
-        sess.fail(codes::IDLE_TIMEOUT, "no frames within the idle timeout");
+    fn finalize<'c>(rt: &Rt, sess: &'c mut Session) -> &'c mut Link {
+        // A session still open at connection close did not Bye cleanly.
+        end_session(sess, rt, false);
+        &mut sess.link
     }
-
-    Service::Keep { progress }
 }
 
 fn count_complete_frames(mut buf: &[u8]) -> u64 {
@@ -503,7 +366,7 @@ fn count_complete_frames(mut buf: &[u8]) -> u64 {
     n
 }
 
-fn handle_frame(sess: &mut Session, shared: &Shared, frame: Frame) {
+fn handle_frame(sess: &mut Session, rt: &Rt, frame: Frame) {
     match (sess.state, frame) {
         (
             SessState::AwaitHello,
@@ -535,25 +398,25 @@ fn handle_frame(sess: &mut Session, shared: &Shared, frame: Frame) {
             // relaxed: id allocation only needs atomicity, not ordering.
             // Distinct from conn_id: one hot connection can carry many
             // sessions back to back (ByeAck returns to AwaitHello).
-            sess.session_id = shared.next_session.fetch_add(1, Ordering::Relaxed) + 1;
+            sess.session_id = rt.tier.next_session.fetch_add(1, Ordering::Relaxed) + 1;
             let name = resolved.name().to_string();
             let sampling_us = resolved.sampling_period_us();
             sess.policy = Some(resolved);
             sess.state = SessState::Streaming;
             // relaxed: monotonic counter; published by the Release
-            // decrement of live_sessions when the session retires.
-            shared.sessions.fetch_add(1, Ordering::Relaxed);
-            shared.count("serve.sessions", 1);
-            shared.emit(EventData::SessionStart {
+            // decrement of the live count when the connection retires.
+            rt.tier.sessions.fetch_add(1, Ordering::Relaxed);
+            rt.count("serve.sessions", 1);
+            rt.emit(EventData::SessionStart {
                 session: sess.session_id,
                 policy: name.clone(),
             });
-            sess.send(&Frame::HelloAck {
+            sess.link.send(&Frame::HelloAck {
                 version: PROTOCOL_VERSION,
                 session: sess.session_id,
                 policy: name,
                 sampling_us,
-                window: u32::try_from(shared.cfg.pipeline_window).unwrap_or(u32::MAX),
+                window: u32::try_from(rt.tier.cfg.pipeline_window).unwrap_or(u32::MAX),
             });
         }
         (SessState::Streaming, Frame::Snapshot { seq, snap }) => {
@@ -576,27 +439,27 @@ fn handle_frame(sess: &mut Session, shared: &Shared, frame: Frame) {
             let service_us = t0.elapsed().as_secs_f64() * 1e6;
             sess.decisions += 1;
             // relaxed: monotonic counter; published by the Release
-            // decrement of live_sessions when the session retires
+            // decrement of the live count when the connection retires
             // (model-checked: protocols::serve::check_drain_stats_exact).
-            shared.decisions.fetch_add(1, Ordering::Relaxed);
-            shared.record_decision(notes.len() as u64, service_us);
-            sess.send(&Frame::Decision {
+            rt.tier.decisions.fetch_add(1, Ordering::Relaxed);
+            record_decision(rt, notes.len() as u64, service_us);
+            sess.link.send(&Frame::Decision {
                 seq,
                 commands,
                 notes,
             });
         }
         (_, Frame::Bye) => {
-            sess.send(&Frame::ByeAck {
+            sess.link.send(&Frame::ByeAck {
                 decisions: sess.decisions,
             });
-            end_session(sess, shared, true);
+            end_session(sess, rt, true);
             // Hot connection reuse: unless draining, the connection
             // returns to AwaitHello so a router (or fleet client) can
             // start the next device session without a fresh TCP
             // handshake — and without exhausting ephemeral ports at
             // 100k+ sessions.
-            sess.state = if shared.draining() {
+            sess.state = if rt.draining() {
                 SessState::Closing
             } else {
                 SessState::AwaitHello
@@ -633,20 +496,19 @@ fn frame_name(frame: &Frame) -> &'static str {
 
 /// Accounts the end of one session (clean Bye/ByeAck or not) and
 /// resets the per-session state so the connection can host another.
-fn end_session(sess: &mut Session, shared: &Shared, clean: bool) {
+fn end_session(sess: &mut Session, rt: &Rt, clean: bool) {
     if sess.session_id == 0 {
         return;
     }
-    if clean {
-        // relaxed: monotonic counter; published by the Release
-        // decrement of live_sessions when the connection retires.
-        shared.drained.fetch_add(1, Ordering::Relaxed);
+    let ended = if clean {
+        &rt.tier.drained
     } else {
-        // relaxed: monotonic counter; published by the Release
-        // decrement of live_sessions when the connection retires.
-        shared.aborted.fetch_add(1, Ordering::Relaxed);
-    }
-    shared.emit(EventData::SessionEnd {
+        &rt.tier.aborted
+    };
+    // relaxed: monotonic counter; published by the Release decrement
+    // of the live count when the connection retires.
+    ended.fetch_add(1, Ordering::Relaxed);
+    rt.emit(EventData::SessionEnd {
         session: sess.session_id,
         decisions: sess.decisions,
         drained: clean,
@@ -658,146 +520,11 @@ fn end_session(sess: &mut Session, shared: &Shared, clean: bool) {
     sess.backpressured = false;
 }
 
-fn finalize(sess: &mut Session, shared: &Shared) {
-    // A session still open at connection close did not Bye cleanly.
-    end_session(sess, shared, false);
-    shared.emit(EventData::ConnClosed {
-        conn: sess.conn_id,
-        frames_in: sess.frames_in,
-        frames_out: sess.frames_out,
-    });
-    // relaxed: admission gate only; an off-by-one race at the cap is
-    // benign (one connection briefly over/under the limit).
-    shared.active_conns.fetch_sub(1, Ordering::Relaxed);
-    // Release pairs with the Acquire load in worker_loop's drain exit:
-    // whoever observes live_sessions == 0 also observes every counter
-    // update this session made above. Downgrading this to Relaxed is
-    // caught by protocols::serve::check_drain_stats_exact.
-    shared.live_sessions.fetch_sub(1, Ordering::Release);
-    let _ = sess.stream.shutdown(std::net::Shutdown::Both);
-}
-
-fn worker_loop(shared: &Arc<Shared>, deques: &[Arc<Mutex<VecDeque<Session>>>], me: usize) {
-    let own = &deques[me];
-    let mut idle = Backoff::new();
-    loop {
-        // Adopt newly accepted sessions.
-        {
-            let mut injector = lock_unpoisoned(shared.injector.lock());
-            if !injector.is_empty() {
-                let mut q = lock_unpoisoned(own.lock());
-                q.append(&mut injector);
-            }
-        }
-        // Steal the back half of the busiest victim when idle.
-        if lock_unpoisoned(own.lock()).is_empty() {
-            let victim = deques
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != me)
-                .max_by_key(|(_, d)| d.lock().map(|q| q.len()).unwrap_or(0));
-            if let Some((_, victim)) = victim {
-                let stolen = {
-                    let mut q = lock_unpoisoned(victim.lock());
-                    let keep = q.len() / 2;
-                    q.split_off(keep)
-                };
-                if !stolen.is_empty() {
-                    lock_unpoisoned(own.lock()).extend(stolen);
-                }
-            }
-        }
-        let batch = lock_unpoisoned(own.lock()).len();
-        if batch == 0 {
-            if shared.draining() && shared.live_sessions.load(Ordering::Acquire) == 0 {
-                return;
-            }
-            idle.wait();
-            continue;
-        }
-        let mut any_progress = false;
-        for _ in 0..batch {
-            let Some(mut sess) = lock_unpoisoned(own.lock()).pop_front() else {
-                break; // a thief got there first
-            };
-            match service(&mut sess, shared) {
-                Service::Keep { progress } => {
-                    any_progress |= progress;
-                    lock_unpoisoned(own.lock()).push_back(sess);
-                }
-                Service::Close => {
-                    finalize(&mut sess, shared);
-                    any_progress = true;
-                }
-            }
-        }
-        if any_progress {
-            idle.reset();
-        } else {
-            idle.wait();
-        }
-    }
-}
-
-fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    let mut idle = Backoff::new();
-    loop {
-        if shared.draining() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                idle.reset();
-                // relaxed: id allocation only needs atomicity, not ordering.
-                let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed) + 1;
-                shared.emit(EventData::ConnAccepted { conn: conn_id });
-                shared.count("serve.conns", 1);
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                let mut sess = Session::new(stream, conn_id);
-                // relaxed: admission gate only; a stale read briefly over-
-                // or under-admits by one connection, which is benign.
-                if shared.active_conns.load(Ordering::Relaxed) >= shared.cfg.max_sessions {
-                    // Refuse politely: best-effort error frame, then drop.
-                    sess.fail(codes::SERVER_FULL, "session cap reached");
-                    let _ = sess.stream.set_nonblocking(false);
-                    let _ = sess
-                        .stream
-                        .set_write_timeout(Some(Duration::from_millis(100)));
-                    let _ = sess.stream.write_all(&sess.wbuf);
-                    shared.emit(EventData::ConnClosed {
-                        conn: conn_id,
-                        frames_in: 0,
-                        frames_out: 1,
-                    });
-                    continue;
-                }
-                // relaxed: admission gate only; see the cap check above.
-                shared.active_conns.fetch_add(1, Ordering::Relaxed);
-                shared.live_sessions.fetch_add(1, Ordering::AcqRel);
-                lock_unpoisoned(shared.injector.lock()).push_back(sess);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => idle.wait(),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => idle.wait(),
-        }
-    }
-}
-
-/// A bound, running daemon. Dropping the handle shuts it down
-/// gracefully (same as [`ServerHandle::shutdown`]).
+/// A bound, running daemon. Dropping it drains gracefully (same as
+/// [`Server::shutdown`]).
 pub struct Server {
-    shared: Arc<Shared>,
-    addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    daemon: Daemon<ServeTier>,
 }
-
-/// Alias kept for readability at call sites: [`Server::bind`] returns
-/// the handle you shut down.
-pub type ServerHandle = Server;
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"`) and starts the acceptor and
@@ -808,22 +535,9 @@ impl Server {
     /// Propagates the socket errors of binding or configuring the
     /// listener.
     pub fn bind(addr: &str, cfg: ServeConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let workers = cfg.workers.max(1);
-        let shared = Arc::new(Shared {
+        let (workers, cap, deadline) = (cfg.workers, cfg.max_sessions, cfg.drain_deadline);
+        let tier = ServeTier {
             cfg,
-            state: AtomicU8::new(STATE_RUNNING),
-            start: Instant::now(),
-            telemetry: Mutex::new(ServeTelemetry {
-                tel: Telemetry::enabled(),
-                decision: None,
-            }),
-            injector: Mutex::new(VecDeque::new()),
-            live_sessions: AtomicUsize::new(0),
-            active_conns: AtomicUsize::new(0),
-            next_conn: AtomicU64::new(0),
             next_session: AtomicU64::new(0),
             sessions: AtomicU64::new(0),
             decisions: AtomicU64::new(0),
@@ -831,122 +545,75 @@ impl Server {
             aborted: AtomicU64::new(0),
             backpressure: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
-            drain_deadline_at: Mutex::new(None),
-        });
-        let deques: Vec<Arc<Mutex<VecDeque<Session>>>> = (0..workers)
-            .map(|_| Arc::new(Mutex::new(VecDeque::new())))
-            .collect();
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("serve-accept".to_string())
-                .spawn(move || acceptor_loop(&shared, &listener))?
         };
-        let workers = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let deques = deques.clone();
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &deques, i))
-            })
-            .collect::<std::io::Result<Vec<_>>>()?;
         Ok(Server {
-            shared,
-            addr,
-            acceptor: Some(acceptor),
-            workers,
+            daemon: Daemon::bind(addr, tier, workers, cap, deadline)?,
         })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.daemon.local_addr()
     }
 
     /// A point-in-time accounting snapshot.
     pub fn stats(&self) -> ServeStats {
-        self.shared.stats()
+        // A live snapshot is advisory by contract: each counter is
+        // internally consistent, cross-counter skew is acceptable while
+        // sessions are in flight. The *final* stats read after
+        // `Server::drain` is exact because every worker's Release
+        // decrement of the runtime's live count (and the join itself)
+        // happens-before it — model-checked in
+        // `mobicore_analyze::protocols::serve::check_drain_stats_exact`.
+        let rt = self.daemon.rt();
+        let t = &rt.tier;
+        ServeStats {
+            sessions: t.sessions.load(Ordering::Relaxed), // relaxed: advisory snapshot (see above)
+            decisions: t.decisions.load(Ordering::Relaxed), // relaxed: advisory snapshot
+            drained_sessions: t.drained.load(Ordering::Relaxed), // relaxed: advisory snapshot
+            aborted_sessions: t.aborted.load(Ordering::Relaxed), // relaxed: advisory snapshot
+            backpressure_events: t.backpressure.load(Ordering::Relaxed), // relaxed: advisory snapshot
+            protocol_errors: t.protocol_errors.load(Ordering::Relaxed), // relaxed: advisory snapshot
+            active_conns: rt.active.load(Ordering::Relaxed) as u64, // relaxed: advisory snapshot
+        }
     }
 
     /// Builds the daemon's run manifest (`kind: "serve"`): uptime,
     /// telemetry metric rollups, and event counts — the artifact
-    /// `mobicore-inspect` renders and diffs.
+    /// `mobicore-inspect` renders and diffs. Call [`Server::drain`]
+    /// first for a manifest that covers the whole run, drain included.
     pub fn manifest(&self, name: &str) -> RunManifest {
-        let shared = &self.shared;
-        let (metrics, event_counts) = match shared.telemetry.lock() {
-            Ok(t) => (t.tel.metrics().rollups(), t.tel.event_counts()),
-            Err(_) => (BTreeMap::new(), BTreeMap::new()),
-        };
-        let mut tags = BTreeMap::new();
-        tags.insert("workers".to_string(), shared.cfg.workers.to_string());
-        tags.insert(
-            "max_sessions".to_string(),
-            shared.cfg.max_sessions.to_string(),
-        );
-        tags.insert(
-            "queue_budget".to_string(),
-            shared.cfg.queue_budget.to_string(),
-        );
-        tags.insert(
-            "pipeline_window".to_string(),
-            shared.cfg.pipeline_window.to_string(),
-        );
-        RunManifest {
-            kind: "serve".to_string(),
-            name: name.to_string(),
-            policy: "multi".to_string(),
-            profile: "multi".to_string(),
-            seed: 0,
-            duration_us: shared.t_us(),
-            git: None,
-            created_unix_ms: None,
-            wall_ms: None,
-            tags,
-            metrics,
-            event_counts,
-        }
+        let rt = self.daemon.rt();
+        let cfg = &rt.tier.cfg;
+        let tags = BTreeMap::from([
+            ("workers".to_string(), cfg.workers.to_string()),
+            ("max_sessions".to_string(), cfg.max_sessions.to_string()),
+            ("queue_budget".to_string(), cfg.queue_budget.to_string()),
+            (
+                "pipeline_window".to_string(),
+                cfg.pipeline_window.to_string(),
+            ),
+        ]);
+        rt.manifest(name, "multi", tags)
     }
 
     /// The daemon's telemetry event stream as JSONL.
     pub fn events_jsonl(&self) -> String {
-        self.shared
-            .telemetry
-            .lock()
-            .map(|t| t.tel.events_jsonl())
-            .unwrap_or_default()
+        self.daemon.rt().events_jsonl()
     }
 
-    /// Graceful shutdown: stop accepting, tell every session
+    /// Graceful drain: stop accepting, tell every session
     /// [`Frame::GoingAway`], serve until each finishes or the drain
     /// deadline passes, then join all threads and return the final
-    /// stats.
+    /// stats. Idempotent; the handle stays readable afterwards, so the
+    /// manifest can be built from the drained daemon.
+    pub fn drain(&mut self) -> ServeStats {
+        self.daemon.drain();
+        self.stats()
+    }
+
+    /// [`Server::drain`], consuming the handle.
     pub fn shutdown(mut self) -> ServeStats {
-        self.begin_drain_and_join();
-        self.shared.stats()
-    }
-
-    fn begin_drain_and_join(&mut self) {
-        if self.shared.state.swap(STATE_DRAINING, Ordering::AcqRel) == STATE_RUNNING {
-            if let Ok(mut d) = self.shared.drain_deadline_at.lock() {
-                *d = Some(Instant::now() + self.shared.cfg.drain_deadline);
-            }
-            let active = self.shared.live_sessions.load(Ordering::Acquire);
-            self.shared.emit(EventData::ServeShutdown {
-                active_sessions: active as u64,
-            });
-        }
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.begin_drain_and_join();
+        self.drain()
     }
 }
